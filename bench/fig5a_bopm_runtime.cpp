@@ -5,14 +5,6 @@
 // Results are also dumped to BENCH_bopm.json (override with
 // AMOPT_BENCH_JSON, disable with AMOPT_BENCH_JSON=none) so the perf
 // trajectory can be tracked across commits.
-//
-// Since PR 5 the sweep also times the solver with the pre-arena HEAP memory
-// plane (fft-bopm-heapmem: per-level vector allocations + concatenated
-// green-extension copies + single-row base sweeps — bit-identical results)
-// and reports the in-process ratio as the mem-x series. mem-x isolates the
-// memory-plane win from host-speed drift, which is what the CI bench guard
-// thresholds; the absolute series capture the full end-to-end trajectory
-// against the committed baselines.
 
 #include <string>
 #include <vector>
@@ -27,15 +19,11 @@ int main() {
   const auto spec = pricing::paper_spec();
   const auto sweep = bench::sweep_from_env(1 << 11, 1 << 17, 1 << 14);
 
-  core::SolverConfig heap_cfg;
-  heap_cfg.memory = core::MemoryPlane::heap;
-
   // fft-bopm runs at the session's inherited pool width; fft-bopm-4t pins
   // width 4 so the task-parallel descent's scaling shows in the same sweep
   // (on a >= 4-core box it tracks the paper's parallel trajectory; on a
   // smaller one it documents oversubscription).
   const std::vector<std::string> series{"fft-bopm", "fft-bopm-4t",
-                                        "fft-bopm-heapmem", "mem-x",
                                         "ql-bopm", "zb-bopm"};
   bench::print_header("Figure 5(a): BOPM American call, parallel running time",
                       "seconds", series);
@@ -51,10 +39,6 @@ int main() {
           [&] { (void)pricing::bopm::american_call_fft(spec, T); },
           sweep.reps);
     }
-    const double fft_heap = bench::time_best(
-        [&] { (void)pricing::bopm::american_call_fft(spec, T, heap_cfg); },
-        sweep.reps);
-    const double memx = fft > 0.0 ? fft_heap / fft : 0.0;
     double ql = -1.0, zb = -1.0;
     if (T <= sweep.slow_max_t) {
       ql = bench::time_best(
@@ -63,9 +47,9 @@ int main() {
       zb = bench::time_best(
           [&] { (void)baselines::zubair_american_call(spec, T); }, sweep.reps);
     }
-    bench::print_row(T, {fft, fft_4t, fft_heap, memx, ql, zb});
+    bench::print_row(T, {fft, fft_4t, ql, zb});
     ts.push_back(T);
-    rows.push_back({fft, fft_4t, fft_heap, memx, ql, zb});
+    rows.push_back({fft, fft_4t, ql, zb});
   }
   std::printf("# '-' entries: Theta(T^2) baselines skipped beyond "
               "AMOPT_BENCH_SLOW_MAX_T=%lld\n",

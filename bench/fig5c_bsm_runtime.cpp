@@ -1,7 +1,5 @@
 // Figure 5(c): parallel running time of American put pricing under the
-// Black-Scholes-Merton explicit FDM — fft-bsm vs vanilla-bsm, plus (PR 5)
-// the pre-arena heap memory plane as fft-bsm-heapmem and the in-process
-// mem-x ratio (see fig5a's header comment for the rationale). Also dumps
+// Black-Scholes-Merton explicit FDM — fft-bsm vs vanilla-bsm. Also dumps
 // BENCH_bsm.json for the CI bench guard.
 
 #include <string>
@@ -15,11 +13,7 @@ int main() {
   const auto spec = pricing::paper_spec();
   const auto sweep = bench::sweep_from_env(1 << 11, 1 << 16, 1 << 13);
 
-  core::SolverConfig heap_cfg;
-  heap_cfg.memory = core::MemoryPlane::heap;
-
-  const std::vector<std::string> series{"fft-bsm", "fft-bsm-heapmem", "mem-x",
-                                        "vanilla-bsm"};
+  const std::vector<std::string> series{"fft-bsm", "vanilla-bsm"};
   bench::print_header("Figure 5(c): BSM American put, parallel running time",
                       "seconds", series);
   std::vector<std::int64_t> ts;
@@ -27,19 +21,15 @@ int main() {
   for (std::int64_t T = sweep.min_t; T <= sweep.max_t; T *= 2) {
     const double fft = bench::time_best(
         [&] { (void)pricing::bsm::american_put_fft(spec, T); }, sweep.reps);
-    const double fft_heap = bench::time_best(
-        [&] { (void)pricing::bsm::american_put_fft(spec, T, heap_cfg); },
-        sweep.reps);
-    const double memx = fft > 0.0 ? fft_heap / fft : 0.0;
     double van = -1.0;
     if (T <= sweep.slow_max_t) {
       van = bench::time_best(
           [&] { (void)pricing::bsm::american_put_vanilla_parallel(spec, T); },
           sweep.reps);
     }
-    bench::print_row(T, {fft, fft_heap, memx, van});
+    bench::print_row(T, {fft, van});
     ts.push_back(T);
-    rows.push_back({fft, fft_heap, memx, van});
+    rows.push_back({fft, van});
   }
   const std::string json = env_string("AMOPT_BENCH_JSON", "BENCH_bsm.json");
   if (json != "none")

@@ -1,7 +1,7 @@
 // google-benchmark microbenches for the FFT substrate: complex and real
-// transform throughput, the three convolution pipelines (direct, packed-
-// complex two-for-one, real-input R2C/C2R), and the allocation-free
-// Workspace paths the solvers rely on.
+// transform throughput, the two convolution pipelines (direct and
+// real-input R2C/C2R), and the allocation-free Workspace paths the solvers
+// rely on.
 //
 // On top of the statically registered benches (which run at the ambient
 // dispatch level, i.e. the production default), main() registers one copy
@@ -96,20 +96,6 @@ void BM_ConvolveFull(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvolveFull)->RangeMultiplier(4)->Range(1 << 8, 1 << 18);
-
-// The seed's packed-complex pipeline, kept for before/after comparison:
-// speedup = BM_ConvolveFullPacked / BM_ConvolveFullWorkspace.
-void BM_ConvolveFullPacked(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto a = random_real(n);
-  const auto b = random_real(n);
-  for (auto _ : state) {
-    auto c = amopt::conv::convolve_full(
-        a, b, {amopt::conv::Policy::Path::fft_packed});
-    benchmark::DoNotOptimize(c.data());
-  }
-}
-BENCHMARK(BM_ConvolveFullPacked)->RangeMultiplier(4)->Range(1 << 8, 1 << 18);
 
 // Real-input path through a warm Workspace: zero heap traffic per call.
 void BM_ConvolveFullWorkspace(benchmark::State& state) {
@@ -385,7 +371,7 @@ void BM_CorrelateSpectralWidePadPath(benchmark::State& state,
 // session per iteration, so the timing is dominated by kernel construction
 // (European fft legs are a single kernel power apply; the ladder IS the
 // solve). Off: sharing enabled but quantum 0 (exact keys — the drift defeats
-// every merge, five kernel ladders). On: share_quantum covers the drift, the
+// every merge, five kernel ladders). On: the quantum covers the drift, the
 // batch collapses to ONE ladder with no dt rescaling (equal expiries).
 // check_bench holds Off/On >= 1.2x.
 void BM_ShareQuantumChainPath(benchmark::State& state, amopt::simd::Level lvl,
@@ -402,8 +388,7 @@ void BM_ShareQuantumChainPath(benchmark::State& state, amopt::simd::Level lvl,
     chain.push_back(q);
   }
   amopt::pricing::PricerConfig cfg;
-  cfg.share_kernels_across_expiries = true;
-  cfg.share_quantum = quantum;
+  cfg.share_expiries = quantum;
   for (auto _ : state) {
     amopt::pricing::Pricer session(cfg);
     auto res = session.price_many(chain);

@@ -74,8 +74,8 @@ using namespace amopt::service;
 /// The recalibration-tick chain for the coalescing experiment: 5 expiries
 /// of one TOPM European contract with per-leg step counts targeting a
 /// common steps-per-year (the llround leaves the five dt unequal in the
-/// last bits) — exactly the shape `share_kernels_across_expiries`
-/// collapses to one kernel ladder without inflating any leg's step count.
+/// last bits) — exactly the shape `share_expiries` collapses to one
+/// kernel ladder without inflating any leg's step count.
 [[nodiscard]] std::vector<PricingRequest> expiry_chain(std::int64_t T,
                                                        double vol) {
   std::vector<PricingRequest> reqs;
@@ -145,7 +145,7 @@ struct Latency {
 [[nodiscard]] double measure_tick_ms(std::int64_t T, bool coalesce,
                                      int ticks, int& tick) {
   ServerConfig cfg;
-  cfg.pricer.share_kernels_across_expiries = true;
+  cfg.pricer.share_expiries = 0.0;
   cfg.max_coalesced_items = coalesce ? 5 : 1;
   cfg.coalesce_window_us = coalesce ? 100000 : 0;  // cap, not a cost: the
   // linger exits as soon as all 5 items of the tick are queued.
@@ -178,7 +178,7 @@ struct Latency {
       server.submit({&reqs[i], 1}, &out[i], done);
     done.wait();
     PricerConfig direct_cfg;
-    direct_cfg.share_kernels_across_expiries = true;
+    direct_cfg.share_expiries = 0.0;
     Pricer direct(direct_cfg);
     const std::vector<PricingResult> want = direct.price_many(reqs);
     for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -244,7 +244,7 @@ struct Latency {
   // serves every counted round trip.
   ThreadScope width(1);
   ServerConfig cfg;
-  cfg.pricer.parallel = false;
+  cfg.pricer.threads = 1;
   cfg.coalesce_window_us = 0;
   Server server(cfg);
   auto pair = loopback_pair();
@@ -265,7 +265,7 @@ struct Latency {
   std::vector<PricingResult> results;
   const auto round_trip = [&] {
     frame.clear();
-    wire::encode_request_batch(reqs, frame);
+    wire::encode_request_batch_v2(reqs, {}, 0, frame);
     if (!client.write_all(frame)) std::exit(1);
     std::size_t have = 0;
     for (;;) {

@@ -158,7 +158,7 @@ int main() {
         },
         sweep.reps);
     PricerConfig shared_cfg;
-    shared_cfg.share_kernels_across_expiries = true;
+    shared_cfg.share_expiries = 0.0;
     std::size_t shared_groups = 0;
     const double share_on = bench::time_best(
         [&] {

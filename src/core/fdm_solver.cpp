@@ -110,25 +110,12 @@ std::int64_t FdmSolver::solve_base(std::int64_t n0, std::int64_t f0,
   // aligned-chunk driver, so each row's bulk carries exactly the bits of a
   // single monolithic stencil3 sweep; the step-0 layout equals `in`'s and
   // the step-L layout equals `out`'s, so the repack below is a straight
-  // copy. Rows come from the active memory plane (see LatticeSolver): arena
-  // frames make the base case allocation-free once warm; the heap plane
-  // keeps the historical per-call vectors. Identical bits either way.
+  // copy. Rows are arena frames, so the base case is allocation-free once
+  // warm.
   ScratchStack::Frame frame(thread_scratch());
-  const bool arena = cfg_.memory == MemoryPlane::arena;
-  std::vector<double> cur_own, mid_own, nxt_own;
-  std::span<double> cur, mid, nxt;
-  if (arena) {
-    cur = frame.alloc(in.size());
-    mid = frame.alloc(in.size());
-    nxt = frame.alloc(in.size());
-  } else {
-    cur_own.assign(in.size(), 0.0);
-    mid_own.assign(in.size(), 0.0);
-    nxt_own.assign(in.size(), 0.0);
-    cur = cur_own;
-    mid = mid_own;
-    nxt = nxt_own;
-  }
+  std::span<double> cur = frame.alloc(in.size());
+  std::span<double> mid = frame.alloc(in.size());
+  std::span<double> nxt = frame.alloc(in.size());
   std::copy(in.begin(), in.end(), cur.begin());
   std::int64_t f = f0;
   std::int64_t kright = kr;
@@ -249,10 +236,9 @@ std::int64_t FdmSolver::solve(std::int64_t n0, std::int64_t f0,
   AMOPT_ENSURES(h >= 1 && h2 >= 1);
   const bool spawn = cfg_.parallel && h >= cfg_.task_cutoff;
 
-  // The h-step correlation over the provably-red cells, shared by both
-  // memory planes. Same spectral routing as LatticeSolver::run_conv:
-  // FFT-path sweeps consume the cache's reversed kernel spectrum and skip
-  // its transform.
+  // The h-step correlation over the provably-red cells. Same spectral
+  // routing as LatticeSolver::run_conv: FFT-path sweeps consume the cache's
+  // reversed kernel spectrum and skip its transform.
   const auto correlate_into = [&](std::span<double> conv_out) {
     if (conv_out.empty()) return;
     const std::span<const double> kernel =
@@ -268,59 +254,26 @@ std::int64_t FdmSolver::solve(std::int64_t n0, std::int64_t f0,
     conv::correlate_valid(in, kernel, conv_out, cfg_.conv_policy);
   };
 
-  if (cfg_.memory == MemoryPlane::arena) {
-    // One arena row with base f0 - h (the lowest reachable f_mid) covering
-    // k in (f0-h, kr-h]: the strip writes its (f_mid, f0+h] cells into the
-    // first 2h slots and the convolution lands on [f0+h+1, kr-h] DIRECTLY
-    // behind them — the mid row is assembled in place, no copies. The two
-    // regions are disjoint, so the task legs never touch the same cell.
-    ScratchStack::Frame frame(thread_scratch());
-    std::span<double> midbuf =
-        frame.alloc(static_cast<std::size_t>(kr - f0));
-    std::int64_t f_mid = f0;
-    const auto run_strip = [&] {
-      f_mid = solve(n0, f0, f0 + 2 * h, h,
-                    in.subspan(0, static_cast<std::size_t>(2 * h)),
-                    midbuf.subspan(0, static_cast<std::size_t>(2 * h)));
-    };
-    const auto run_conv = [&] {
-      correlate_into(midbuf.subspan(
-          static_cast<std::size_t>(2 * h),
-          static_cast<std::size_t>(std::max<std::int64_t>(kr - f0 - 2 * h,
-                                                          0))));
-    };
-    // The legs write disjoint regions of the mid row; at pool width 1
-    // invoke2 degrades to exactly the serial order below.
-    if (spawn) {
-      TaskPool::instance().invoke2(run_strip, run_conv);
-    } else {
-      run_strip();
-      run_conv();
-    }
-
-    // ---- second half: row n0 + h -> n0 + L ----------------------------
-    const std::int64_t mid_size = (kr - h) - f_mid;
-    const std::span<const double> mid =
-        midbuf.subspan(static_cast<std::size_t>(f_mid - (f0 - h)),
-                       static_cast<std::size_t>(mid_size));
-    const std::int64_t shift = (f_mid - h2) - (f0 - L);
-    AMOPT_ENSURES(shift >= 0);
-    return solve(n0 + h, f_mid, kr - h, h2, mid,
-                 out.subspan(static_cast<std::size_t>(shift)));
-  }
-
-  // Heap plane (the pre-arena discipline, kept as the fig5 memory-plane
-  // reference): separate strip/conv vectors assembled into a fresh mid row.
-  // Strip sub-trapezoid on (f0, f0+2h]; conv on [f0+h+1, kr-h].
-  std::vector<double> strip_out(static_cast<std::size_t>(2 * h), 0.0);
-  std::vector<double> conv_out(
-      static_cast<std::size_t>(std::max<std::int64_t>(kr - f0 - 2 * h, 0)));
+  // One arena row with base f0 - h (the lowest reachable f_mid) covering
+  // k in (f0-h, kr-h]: the strip writes its (f_mid, f0+h] cells into the
+  // first 2h slots and the convolution lands on [f0+h+1, kr-h] DIRECTLY
+  // behind them — the mid row is assembled in place, no copies. The two
+  // regions are disjoint, so the task legs never touch the same cell.
+  ScratchStack::Frame frame(thread_scratch());
+  std::span<double> midbuf = frame.alloc(static_cast<std::size_t>(kr - f0));
   std::int64_t f_mid = f0;
   const auto run_strip = [&] {
     f_mid = solve(n0, f0, f0 + 2 * h, h,
-                  in.subspan(0, static_cast<std::size_t>(2 * h)), strip_out);
+                  in.subspan(0, static_cast<std::size_t>(2 * h)),
+                  midbuf.subspan(0, static_cast<std::size_t>(2 * h)));
   };
-  const auto run_conv = [&] { correlate_into(conv_out); };
+  const auto run_conv = [&] {
+    correlate_into(midbuf.subspan(
+        static_cast<std::size_t>(2 * h),
+        static_cast<std::size_t>(std::max<std::int64_t>(kr - f0 - 2 * h, 0))));
+  };
+  // The legs write disjoint regions of the mid row; at pool width 1
+  // invoke2 degrades to exactly the serial order below.
   if (spawn) {
     TaskPool::instance().invoke2(run_strip, run_conv);
   } else {
@@ -328,22 +281,12 @@ std::int64_t FdmSolver::solve(std::int64_t n0, std::int64_t f0,
     run_conv();
   }
 
-  // Assemble the mid row over (f_mid, kr-h].
-  const std::int64_t mid_size = (kr - h) - f_mid;
-  std::vector<double> mid(static_cast<std::size_t>(mid_size));
-  {
-    // Strip buffer base is f0 - h; its cells (f_mid, f0+h] are valid.
-    const std::int64_t strip_base = f0 - h;
-    const std::int64_t n_strip = (f0 + h) - f_mid;
-    std::copy_n(strip_out.begin() +
-                    static_cast<std::ptrdiff_t>(f_mid - strip_base),
-                static_cast<std::size_t>(n_strip), mid.begin());
-    std::copy_n(conv_out.begin(), conv_out.size(),
-                mid.begin() + static_cast<std::ptrdiff_t>(n_strip));
-  }
-
   // ---- second half: row n0 + h -> n0 + L ------------------------------
   // Callee out base is f_mid - h2 >= f0 - L; shift into our out buffer.
+  const std::int64_t mid_size = (kr - h) - f_mid;
+  const std::span<const double> mid =
+      midbuf.subspan(static_cast<std::size_t>(f_mid - (f0 - h)),
+                     static_cast<std::size_t>(mid_size));
   const std::int64_t shift = (f_mid - h2) - (f0 - L);
   AMOPT_ENSURES(shift >= 0);
   return solve(n0 + h, f_mid, kr - h, h2, mid,
@@ -359,14 +302,7 @@ FdmRow FdmSolver::advance(FdmRow row, std::int64_t L) {
   next.n = row.n + L;
   next.kr = row.kr - L;
   ScratchStack::Frame frame(thread_scratch());
-  std::vector<double> out_own;
-  std::span<double> out;
-  if (cfg_.memory == MemoryPlane::arena) {
-    out = frame.alloc(row.red.size());
-  } else {
-    out_own.assign(row.red.size(), 0.0);
-    out = out_own;
-  }
+  std::span<double> out = frame.alloc(row.red.size());
   // No parallel-region wrapper anymore: solve() forks its own pool tasks
   // at every level whose height clears the cutoff.
   const std::int64_t f_new = solve(row.n, row.f, row.kr, L, row.red, out);

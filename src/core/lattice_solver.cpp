@@ -25,16 +25,6 @@ constexpr std::int64_t kFuseMinInterior = 8;
 /// production stencil (g <= 2); wider stencils spill to a heap vector.
 constexpr std::size_t kInlineTailCap = 8;
 
-/// A row buffer from the active memory plane: a frame span on the arena, a
-/// zero-initialized heap vector (the pre-arena discipline) otherwise.
-[[nodiscard]] std::span<double> take_row(ScratchStack::Frame& frame,
-                                         std::vector<double>& own,
-                                         std::size_t n, bool arena) {
-  if (arena) return frame.alloc(n);
-  own.assign(n, 0.0);
-  return own;
-}
-
 }  // namespace
 
 LatticeSolver::LatticeSolver(stencil::LinearStencil st,
@@ -98,10 +88,8 @@ void LatticeSolver::step_naive_into(const LatticeRow& row, bool unbounded_scan,
     const std::int64_t glo = row.q + 1;  // first green index a tail cell reads
     const std::int64_t ghi = jmax + g;
     ScratchStack::Frame frame(thread_scratch());
-    std::vector<double> gown;
     std::span<double> gbuf =
-        take_row(frame, gown, static_cast<std::size_t>(ghi - glo + 1),
-                 cfg_.memory == MemoryPlane::arena);
+        frame.alloc(static_cast<std::size_t>(ghi - glo + 1));
     for (std::int64_t idx = glo; idx <= ghi; ++idx)
       gbuf[static_cast<std::size_t>(idx - glo)] = green_.value(row.i, idx);
     const auto value_at = [&](std::int64_t j) {
@@ -166,21 +154,18 @@ std::int64_t LatticeSolver::solve_base(std::int64_t i0, std::int64_t jL,
                                        std::span<const double> in,
                                        std::span<double> out) const {
   const bool growing = cfg_.drift == BoundaryDrift::growing;
-  const bool arena = cfg_.memory == MemoryPlane::arena;
   const std::span<const double> taps = kernels_->stencil().taps;
   const simd::Kernels& kern = simd::kernels();  // one dispatch per call
   const std::int64_t g = static_cast<std::int64_t>(taps.size()) - 1;
   const std::size_t W =
       in.size() + (growing ? static_cast<std::size_t>(L) : 0);
 
+  // Three rows rotate through the fused two-step sweep (cur, buf1, buf2);
+  // the single-step path uses the first two.
   ScratchStack::Frame frame(thread_scratch());
-  std::vector<double> cur_own, b1_own, b2_own;
-  std::span<double> cur = take_row(frame, cur_own, W, arena);
-  std::span<double> buf1 = take_row(frame, b1_own, W, arena);
-  // The third row only exists on the arena plane, where the fused two-step
-  // sweep rotates (cur, buf1, buf2); the heap plane keeps the historical
-  // two-buffer single-step shape.
-  std::span<double> buf2 = arena ? frame.alloc(W) : std::span<double>{};
+  std::span<double> cur = frame.alloc(W);
+  std::span<double> buf1 = frame.alloc(W);
+  std::span<double> buf2 = frame.alloc(W);
   std::copy(in.begin(), in.end(), cur.begin());
 
   // Scalar green-extension tail + boundary-discovery scan for the row that
@@ -246,7 +231,7 @@ std::int64_t LatticeSolver::solve_base(std::int64_t i0, std::int64_t jL,
     const std::int64_t jv1 = std::min(jmax1, qcur - g);
     const std::int64_t interior1 = jv1 - jL + 1;
 
-    if (arena && step + 1 < L && interior1 >= kFuseMinInterior) {
+    if (step + 1 < L && interior1 >= kFuseMinInterior) {
       // Fused two-step sweep: advance rows i -> i-1 -> i-2 in one pass over
       // `cur` while it is still in L1. Second-row cells are computed
       // speculatively only where their whole tap window is provably red for
@@ -258,8 +243,8 @@ std::int64_t LatticeSolver::solve_base(std::int64_t i0, std::int64_t jL,
       // sweep below then starts on the same lane grid a single monolithic
       // sweep would use, so the fused second row is bit-identical to an
       // unfused one even on FMA dispatch levels (vector and scalar lanes
-      // round differently there — partition identity is what keeps the
-      // arena and heap memory planes bit-equal).
+      // round differently there — partition identity is what keeps a row's
+      // bits independent of whether the fused sweep engaged).
       const std::int64_t n2 = std::max<std::int64_t>(
           0, std::min(qcur - 2, jv1) - g - jL + 1) &
           ~std::int64_t{7};
@@ -326,7 +311,6 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
   const std::int64_t h = (L + 1) / 2;
   const std::int64_t h2 = L - h;
   AMOPT_ENSURES(h >= 1 && h2 >= 1);
-  const bool arena = cfg_.memory == MemoryPlane::arena;
 
   // Last provably-convolvable column at depth d below a row with boundary
   // q: every cell of the cone must stay red while the boundary drifts.
@@ -356,37 +340,23 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
   };
 
   ScratchStack::Frame frame(thread_scratch());
-  std::vector<double> mid_own;
-  std::span<double> mid = take_row(
-      frame, mid_own,
-      in.size() + (growing ? static_cast<std::size_t>(h) : 0), arena);
+  std::span<double> mid =
+      frame.alloc(in.size() + (growing ? static_cast<std::size_t>(h) : 0));
 
   // ---- first half: row i0 -> row i0 - h --------------------------------
   std::int64_t q_mid = jL - 1;
-  const std::int64_t jC = conv_safe(q0, h);
+  // Clipped to the bottom row's width: for g >= 2 the cone bound alone can
+  // reach past a fully red row's last cell, and the boundary must stay
+  // inside the lattice (q <= g*i).
+  const std::int64_t jC = std::min(conv_safe(q0, h), row_width(i0 - h));
   if (jC >= jL) {
-    // Shrinking cones read g-1 green cells past the red prefix; growing
-    // cones stay inside it. On the arena plane the green cells ride as the
-    // correlation's split tail; the heap plane keeps the historical
-    // concatenated copy (same staged bytes, so same bits either way).
-    std::span<const double> conv_in = in;
-    std::span<const double> tail{};
-    std::vector<double> ext;
-    if (arena) {
-      tail = green_tail(i0, q0, tail1_buf);
-    } else {
-      const std::int64_t n_ext = growing ? 0 : g_ - 1;
-      ext.reserve(in.size() + static_cast<std::size_t>(n_ext));
-      ext.assign(in.begin(), in.end());
-      for (std::int64_t e = 1; e <= n_ext; ++e)
-        ext.push_back(green_.value(i0, q0 + e));
-      conv_in = ext;
-    }
-
+    // Shrinking cones read g-1 green cells past the red prefix, staged as
+    // the correlation's split tail; growing cones stay inside it.
+    const std::span<const double> tail = green_tail(i0, q0, tail1_buf);
     std::int64_t q_strip = jL - 1;
     const bool spawn = cfg_.parallel && h >= cfg_.task_cutoff;
     const auto conv_part = [&] {
-      run_conv(conv_in, tail, h,
+      run_conv(in, tail, h,
                mid.subspan(0, static_cast<std::size_t>(jC - jL + 1)));
     };
     const auto strip_part = [&] {
@@ -403,42 +373,24 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
       strip_part();
     }
     q_mid = std::max(q_strip, jC);  // conv cells are red by construction
-  } else if (arena) {
+  } else {
     // Window too narrow to convolve: recurse straight into `mid`.
     q_mid = solve(i0, jL, q0, h, in, mid);
-  } else {
-    q_mid = solve(i0, jL, q0, h, in, out);  // historical: out as scratch
-    if (q_mid >= jL)
-      std::copy_n(out.begin(), static_cast<std::size_t>(q_mid - jL + 1),
-                  mid.begin());
   }
   if (q_mid < jL && !growing) return jL - 1;  // all green below (Lemma 2.4)
 
   // ---- second half: row i0 - h -> row i0 - L ---------------------------
   const std::int64_t im = i0 - h;
-  const std::int64_t jC2 = conv_safe(q_mid, h2);
+  const std::int64_t jC2 = std::min(conv_safe(q_mid, h2), row_width(im - h2));
   const std::span<const double> mid_in(
       mid.data(),
       static_cast<std::size_t>(std::max<std::int64_t>(q_mid - jL + 1, 0)));
   if (jC2 >= jL) {
-    std::span<const double> conv_in = mid_in;
-    std::span<const double> tail{};
-    std::vector<double> ext;
-    if (arena) {
-      tail = green_tail(im, q_mid, tail2_buf);
-    } else {
-      const std::int64_t n_ext = growing ? 0 : g_ - 1;
-      ext.reserve(mid_in.size() + static_cast<std::size_t>(n_ext));
-      ext.assign(mid_in.begin(), mid_in.end());
-      for (std::int64_t e = 1; e <= n_ext; ++e)
-        ext.push_back(green_.value(im, q_mid + e));
-      conv_in = ext;
-    }
-
+    const std::span<const double> tail = green_tail(im, q_mid, tail2_buf);
     std::int64_t q_strip = jL - 1;
     const bool spawn = cfg_.parallel && h2 >= cfg_.task_cutoff;
     const auto conv_part = [&] {
-      run_conv(conv_in, tail, h2,
+      run_conv(mid_in, tail, h2,
                out.subspan(0, static_cast<std::size_t>(jC2 - jL + 1)));
     };
     const auto strip_part = [&] {
@@ -460,7 +412,6 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
 LatticeRow LatticeSolver::descend(LatticeRow top, std::int64_t i_stop) {
   AMOPT_EXPECTS(i_stop >= 0 && top.i >= i_stop);
   const bool growing = cfg_.drift == BoundaryDrift::growing;
-  const bool arena = cfg_.memory == MemoryPlane::arena;
   LatticeRow row = std::move(top);
   // Ping-pong row: `next`'s storage shuttles between descend() calls via
   // spare_red_, so a warm solver repeats a descent with zero allocations.
@@ -488,13 +439,9 @@ LatticeRow LatticeSolver::descend(LatticeRow top, std::int64_t i_stop) {
     next.i = row.i - L;
     const std::size_t n =
         row.red.size() + (growing ? static_cast<std::size_t>(L) : 0);
-    if (arena) {
-      // resize, not assign: solve() fills every cell up to the returned
-      // boundary, so the old contents need no zeroing pass.
-      next.red.resize(n);
-    } else {
-      std::vector<double>(n, 0.0).swap(next.red);  // the pre-arena discipline
-    }
+    // resize, not assign: solve() fills every cell up to the returned
+    // boundary, so the old contents need no zeroing pass.
+    next.red.resize(n);
     // No parallel-region wrapper anymore: solve() forks its own pool tasks
     // at every level whose height clears the cutoff.
     next.q = solve(row.i, 0, row.q, L, row.red, next.red);

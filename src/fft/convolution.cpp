@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <complex>
 
 #include "amopt/common/assert.hpp"
 #include "amopt/metrics/counters.hpp"
@@ -35,7 +34,6 @@ constexpr std::size_t kFftCostPerPointLog = 3;
     case Policy::Path::direct:
       return true;
     case Policy::Path::fft:
-    case Policy::Path::fft_packed:
       return false;
     case Policy::Path::automatic:
       break;
@@ -187,73 +185,6 @@ void real_convolve_spec_into(std::span<const double> a,
   count_fft_ops(n, 2);
 }
 
-/// Legacy packed-complex cyclic convolution (the seed implementation): pack
-/// z = a + i*b, one forward FFT, split the spectrum with conjugate symmetry,
-/// multiply, invert. Kept as Policy::Path::fft_packed so benches can measure
-/// the real-input path against it.
-void packed_convolve_into(std::span<const double> a,
-                          std::span<const double> a_tail,
-                          std::span<const double> b, bool reverse_b,
-                          std::size_t skip, std::span<double> out,
-                          Workspace& ws) {
-  const std::size_t na = a.size() + a_tail.size();
-  const std::size_t full = na + b.size() - 1;
-  const std::size_t n = cyclic_size(na, b.size(), skip, out.size());
-  std::span<cplx> z = ws.spec_a(n);
-  std::fill(z.begin(), z.end(), cplx{0.0, 0.0});
-  for (std::size_t i = 0; i < a.size(); ++i) z[i].real(a[i]);
-  for (std::size_t i = 0; i < a_tail.size(); ++i)
-    z[a.size() + i].real(a_tail[i]);
-  if (reverse_b) {
-    const std::size_t nb = b.size();
-    for (std::size_t i = 0; i < nb; ++i) z[i].imag(b[nb - 1 - i]);
-  } else {
-    for (std::size_t i = 0; i < b.size(); ++i) z[i].imag(b[i]);
-  }
-
-  const fft::Plan& plan = fft::plan_for(n);
-  plan.forward(z.data());
-
-  // Spectra: A[k] = (Z[k] + conj(Z[n-k]))/2, B[k] = (Z[k] - conj(Z[n-k]))/(2i)
-  // so C[k] = A[k]*B[k]; we overwrite z with C, handling the paired indices
-  // (k, n-k) together.
-  const auto product = [](cplx zk, cplx znk) {
-    const cplx ak = 0.5 * (zk + std::conj(znk));
-    const cplx bk = cplx{0.0, -0.5} * (zk - std::conj(znk));
-    return ak * bk;
-  };
-  const cplx z0 = z[0];
-  z[0] = cplx{z0.real() * z0.imag(), 0.0};
-  for (std::size_t k = 1, j = n - 1; k < j; ++k, --j) {
-    const cplx zk = z[k], zj = z[j];
-    const cplx ck = product(zk, zj);
-    const cplx cj = product(zj, zk);
-    z[k] = ck;
-    z[j] = cj;
-  }
-  if (n > 1) {
-    const cplx zm = z[n / 2];  // self-paired Nyquist bin
-    z[n / 2] = cplx{zm.real() * zm.imag(), 0.0};
-  }
-
-  plan.inverse(z.data());
-  AMOPT_EXPECTS(skip + out.size() <= full);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = z[skip + i].real();
-  count_fft_ops(n, 4);  // two full-size transforms = four half-size
-}
-
-void fft_convolve_into(std::span<const double> a,
-                       std::span<const double> a_tail,
-                       std::span<const double> b, bool reverse_b,
-                       std::size_t skip, std::span<double> out, Workspace& ws,
-                       Policy policy) {
-  if (policy.path == Policy::Path::fft_packed) {
-    packed_convolve_into(a, a_tail, b, reverse_b, skip, out, ws);
-  } else {
-    real_convolve_into(a, a_tail, b, reverse_b, skip, out, ws);
-  }
-}
-
 /// Trim the logical input concat(main, tail) to its first `needed` elements
 /// (the prefix a correlation actually references).
 void trim_split(std::span<const double>& main, std::span<const double>& tail,
@@ -318,8 +249,7 @@ void convolve_full(std::span<const double> a, std::span<const double> b,
     convolve_full_direct_into(a, b, out);
     return;
   }
-  fft_convolve_into(a, {}, b, /*reverse_b=*/false, /*skip=*/0, out, ws,
-                    policy);
+  real_convolve_into(a, {}, b, /*reverse_b=*/false, /*skip=*/0, out, ws);
 }
 
 std::vector<double> convolve_full(std::span<const double> a,
@@ -346,8 +276,8 @@ void correlate_valid(std::span<const double> in,
   // and the shift while copying out. Trim the input to the prefix actually
   // referenced to keep the transform small.
   const std::size_t needed_in = out.size() + kernel.size() - 1;
-  fft_convolve_into(in.subspan(0, needed_in), {}, kernel, /*reverse_b=*/true,
-                    /*skip=*/kernel.size() - 1, out, ws, policy);
+  real_convolve_into(in.subspan(0, needed_in), {}, kernel, /*reverse_b=*/true,
+                     /*skip=*/kernel.size() - 1, out, ws);
 }
 
 void correlate_valid(std::span<const double> in,
@@ -384,14 +314,13 @@ void correlate_valid(std::span<const double> main, std::span<const double> tail,
     correlate_valid_direct(cat, kernel, out);
     return;
   }
-  fft_convolve_into(m, t, kernel, /*reverse_b=*/true,
-                    /*skip=*/kernel.size() - 1, out, ws, policy);
+  real_convolve_into(m, t, kernel, /*reverse_b=*/true,
+                     /*skip=*/kernel.size() - 1, out, ws);
 }
 
 bool correlate_prefers_fft(std::size_t out_len, std::size_t kernel_len,
                            Policy policy) {
   if (out_len == 0 || kernel_len == 0) return false;
-  if (policy.path == Policy::Path::fft_packed) return false;
   const std::size_t in_len = out_len + kernel_len - 1;
   return !use_direct(in_len, kernel_len, policy);
 }
@@ -483,10 +412,7 @@ void convolve_many(std::span<const std::span<const double>> inputs,
     return;
   }
 
-  if (use_direct(max_na, kernel.size(), policy) ||
-      policy.path == Policy::Path::fft_packed) {
-    // The packed pipeline transforms both operands together, so there is no
-    // kernel spectrum to share; fall back to per-item calls.
+  if (use_direct(max_na, kernel.size(), policy)) {
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       if (inputs[i].empty()) {
         outs[i].clear();

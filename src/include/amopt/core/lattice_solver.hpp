@@ -61,23 +61,12 @@ struct LatticeRow {
 ///    empirically in tests): q_i in [q_{i+1}, q_{i+1}+1].
 enum class BoundaryDrift { shrinking, growing };
 
-/// Where the solvers draw their transient row buffers from:
-///  * arena — the thread's grow-only `core::ScratchStack` (zero heap
-///    allocations once warm, rows reused while cache-hot, green-extension
-///    cells staged split-operand so the red prefix is never copied);
-///  * heap  — the pre-arena discipline (a fresh std::vector per recursion
-///    level and a concatenated extension copy per convolution), kept as a
-///    measurable reference for the fig5 memory-plane bars. Both planes
-///    produce bit-identical results at a fixed dispatch level.
-enum class MemoryPlane { arena, heap };
-
 struct SolverConfig {
   int base_case = 8;               ///< trapezoid height switch to naive
   std::int64_t task_cutoff = 512;  ///< min height to spawn OpenMP tasks
   bool parallel = true;
   BoundaryDrift drift = BoundaryDrift::shrinking;
   conv::Policy conv_policy{};
-  MemoryPlane memory = MemoryPlane::arena;
   /// Accuracy knobs of the pricing::Engine::boundary (ALO) engine — the
   /// lattice/FDM solvers ignore them. Defaults are the "accurate" preset
   /// (~1e-8 relative price error, DESIGN.md §6); sessions key their cached

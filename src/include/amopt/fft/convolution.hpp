@@ -11,9 +11,7 @@
 // region. Small products are evaluated directly; large ones go through the
 // real-input FFT (two R2C transforms of the zero-padded operands, a
 // pointwise product over the n/2+1 non-redundant bins, one C2R back —
-// 3 half-size complex transforms instead of the 2 full-size ones of the
-// packed-complex trick, which survives as `Policy::Path::fft_packed` for
-// benchmarking).
+// 3 half-size complex transforms).
 //
 // All FFT paths draw their zero-padded buffers and spectra from a
 // `Workspace` arena: buffers grow monotonically and are reused, so repeated
@@ -45,10 +43,9 @@ namespace amopt::conv {
 /// default behaviour.
 struct Policy {
   enum class Path {
-    automatic,   ///< cost-based crossover (direct below, fft above)
-    direct,      ///< always the O(n*k) loop
-    fft,         ///< real-input R2C/C2R pipeline (production FFT path)
-    fft_packed,  ///< legacy packed-complex two-for-one pipeline
+    automatic,  ///< cost-based crossover (direct below, fft above)
+    direct,     ///< always the O(n*k) loop
+    fft,        ///< real-input R2C/C2R pipeline
   };
   Path path = Path::automatic;
 };
@@ -154,8 +151,7 @@ void correlate_valid(std::span<const double> main, std::span<const double> tail,
 // the same bins the in-call transform would produce.
 
 /// Whether `correlate_valid` with these lengths would take the real-input
-/// FFT path (false for the direct crossover and for the legacy packed
-/// pipeline, which transforms both operands together).
+/// FFT path (false for the direct crossover).
 [[nodiscard]] bool correlate_prefers_fft(std::size_t out_len,
                                          std::size_t kernel_len,
                                          Policy policy);

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -68,7 +69,6 @@ struct PricerConfig {
   /// (they are what the LRU'd caches themselves bound); this cap closes the
   /// one unbounded tier left inside a cache. 0 = unbounded.
   std::size_t max_spectrum_bytes = 32u << 20;
-  bool parallel = true;  ///< task-pool fan-out across batch items
   /// Cap on this session's batch fan-out width (number of pool executors a
   /// price_many call may occupy, caller included). 0 = the pool's current
   /// width (AMOPT_THREADS / set_threads); 1 pins the session serial without
@@ -93,23 +93,22 @@ struct PricerConfig {
   /// reuse is exact — results are bit-identical to a cold call at the same
   /// SIMD dispatch level. Set false to re-price every leg on every call.
   bool warm_start_greeks = true;
-  /// Opt-in cross-expiry kernel sharing: requests in one `price_many` batch
-  /// whose derived taps differ ONLY through the time step (same model /
-  /// right / style / fft engine and same R, V, Y — a chain over expiries)
-  /// are renormalized to their group's finest dt: T becomes
-  /// round(expiry / dt*) and expiry is snapped onto the step grid
-  /// (|change| <= dt*/2, sub-step). Tap vectors across the group then
-  /// coincide bit for bit, so the whole chain shares ONE kernel cache —
-  /// powers, squaring ladder, and spectra are built once per chain instead
-  /// of once per expiry. Prices change by the normalization itself (a
-  /// refinement: T never decreases), bounded by the lattice's own O(1/T)
-  /// discretization error; see DESIGN.md §5. Items whose renormalized T
-  /// would exceed 8x the requested T keep their own discretization.
-  bool share_kernels_across_expiries = false;
-  /// Relative tolerance widening the sharing group key above from exact
-  /// (R, V, Y) equality to quantized equality. 0 (default) keeps the exact
-  /// byte-key grouping — byte-for-byte the pre-quantization behavior. A
-  /// positive quantum buckets each of R, V, Y by
+  /// Opt-in cross-expiry kernel sharing; unset (default) turns it off.
+  /// When set, requests in one `price_many` batch whose derived taps
+  /// differ ONLY through the time step (same model / right / style / fft
+  /// engine and same R, V, Y — a chain over expiries) are renormalized to
+  /// their group's finest dt: T becomes round(expiry / dt*) and expiry is
+  /// snapped onto the step grid (|change| <= dt*/2, sub-step). Tap vectors
+  /// across the group then coincide bit for bit, so the whole chain shares
+  /// ONE kernel cache — powers, squaring ladder, and spectra are built
+  /// once per chain instead of once per expiry. Prices change by the
+  /// normalization itself (a refinement: T never decreases), bounded by
+  /// the lattice's own O(1/T) discretization error; see DESIGN.md §5.
+  /// Items whose renormalized T would exceed 8x the requested T keep their
+  /// own discretization.
+  ///
+  /// The value is the relative quantum of the group key. 0 groups on exact
+  /// (R, V, Y) bytes. A positive quantum buckets each of R, V, Y by
   /// floor(log|x| / log1p(quantum)) (sign-separated; 0 only matches 0), so
   /// legs land in one group only when every field agrees within a factor of
   /// (1 + quantum); each >= 2-member group then snaps its (R, V, Y) onto
@@ -120,9 +119,9 @@ struct PricerConfig {
   /// conservative: legs straddling a bucket boundary never share, even if
   /// pairwise closer than the quantum. Price perturbation is bounded by the
   /// field snap (first-order: vega * quantum * V etc.) on top of the
-  /// sharing refinement below; covered by the DESIGN.md §12 accuracy
-  /// contract. Ignored while share_kernels_across_expiries is false.
-  double share_quantum = 0.0;
+  /// sharing refinement above; covered by the DESIGN.md §12 accuracy
+  /// contract.
+  std::optional<double> share_expiries{};
   /// Opt-in scratch-arena high-water-mark decay: after each batch, every
   /// thread that served items trims its ScratchStack down to at most this
   /// many bytes (core::ScratchStack::trim), so a long-lived session mixing
@@ -267,11 +266,11 @@ class Pricer {
                                          const core::SolverConfig& cfg);
 
   /// The cross-expiry dt normalization behind
-  /// `PricerConfig::share_kernels_across_expiries` (see its comment).
-  /// `quantum` is `PricerConfig::share_quantum`: 0 groups on exact (R, V, Y)
-  /// bytes; > 0 groups on quantized buckets and snaps each >= 2-member
-  /// group's (R, V, Y) onto its lexicographically smallest member tuple
-  /// before the dt renormalization.
+  /// `PricerConfig::share_expiries` (see its comment). `quantum` is that
+  /// field's value: 0 groups on exact (R, V, Y) bytes; > 0 groups on
+  /// quantized buckets and snaps each >= 2-member group's (R, V, Y) onto
+  /// its lexicographically smallest member tuple before the dt
+  /// renormalization.
   static void normalize_expiries(std::vector<PricingRequest>& reqs,
                                  double quantum = 0.0);
 

@@ -9,8 +9,8 @@
 // intra-solve parallelism draw from one set of workers instead of
 // oversubscribing the machine. Items are routed by
 // `shard_of` — a hash of the request's kernel identity (model, right,
-// style, engine, R, V, Y), the same axes `PricerConfig::
-// share_kernels_across_expiries` groups by — so every quote for one
+// style, engine, R, V, Y), the same axes `PricerConfig::share_expiries`
+// groups by — so every quote for one
 // option chain lands on the shard whose caches are warm for it, and a
 // coalesced batch is mergeable into a single shared-kernel `price_many`.
 //
@@ -168,7 +168,7 @@ class Server {
     std::uint64_t drain_shed = 0;     ///< sum of ShardCounters::drain_shed
     /// Connection-level counters from `serve()`: malformed frames
     /// answered-and-dropped, and request frames that arrived with a
-    /// nonzero v2 `attempt` header (a client retrying).
+    /// nonzero `attempt` header (a client retrying).
     std::uint64_t decode_errors = 0;
     std::uint64_t retries_observed = 0;
     std::vector<pricing::Pricer::Stats> shard;  ///< per-shard sessions

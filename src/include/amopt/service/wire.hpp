@@ -35,30 +35,30 @@
 // Versioning rules: `kVersion` bumps whenever a frame laid out by an older
 // writer would decode differently (field moved/resized/reinterpreted).
 // Appending new trailing record fields requires a bump too — records are
-// fixed-size, so readers key their stride off the version. Decoders reject
-// unknown versions with `bad_version` rather than guessing; reserved bytes
-// must be zero on the wire so they can later become fields without
-// ambiguity. The `compute` mask is deliberately NOT validated here: unknown
-// bits are a per-item semantic error (`Status::error` from request
-// validation), not a frame-level one, so one forward-compat request cannot
-// poison the rest of its frame.
+// fixed-size. Decoders speak exactly one version and reject every other
+// with `bad_version` rather than guessing; reserved bytes must be zero on
+// the wire so they can later become fields without ambiguity. A value
+// retired from a field is a decode error too (`bad_enum`, or
+// `bad_reserved` when the whole field is retired), so a frame that
+// selects a removed option is rejected, never misread. The `compute` mask
+// is deliberately NOT validated here: unknown bits are a per-item
+// semantic error (`Status::error` from request validation), not a
+// frame-level one, so one forward-compat request cannot poison the rest
+// of its frame.
 //
-// Version 2 (the failure plane, DESIGN.md §11) exercises those rules:
-//  * request records grow a trailing `deadline_us` field (u64, record
-//    stride 144 -> 152) — the caller's REMAINING budget in microseconds
+// Version 2 (the failure plane, DESIGN.md §11) is the one version:
+//  * request records end in a `deadline_us` field (u64 at offset 144,
+//    record stride 152) — the caller's REMAINING budget in microseconds
 //    (relative, so no clock synchronization across machines; 0 = none).
 //    The server converts it to an absolute steady_clock deadline the
 //    moment the frame decodes and sheds items whose deadline passed
 //    before pricing them (`Status::deadline_exceeded`).
-//  * header byte 6 (reserved-zero in v1) becomes `attempt`: the retrying
-//    client's resubmission counter for this frame, 0 on the first try.
-//    Purely observability — the server counts attempt > 0 frames as
-//    `retries_observed`; it never changes pricing.
-//  * result records are laid out identically in both versions; v2 merely
-//    widens the valid status range to include `deadline_exceeded`.
-// Both versions decode everywhere: v1 frames yield deadline 0 / attempt 0,
-// and the server answers each frame in the version it arrived with, so a
-// v1 client never sees a status byte or stride it does not speak.
+//  * header byte 6 is `attempt`: the retrying client's resubmission
+//    counter for this frame, 0 on the first try. Purely observability —
+//    the server counts attempt > 0 frames as `retries_observed`; it never
+//    changes pricing.
+//  * solver byte 130 (once the memory-plane selector) is reserved-zero;
+//    solver byte 131 (the conv path) accepts automatic/direct/fft (0-2).
 //
 // Not on the wire: `PricingRequest::iv.T` is carried for exactness but the
 // session ignores it (the request's own T governs); `PricingResult::error`
@@ -77,8 +77,7 @@ namespace amopt::service::wire {
 
 /// "AMQW" as little-endian bytes 'A','M','Q','W'.
 inline constexpr std::uint32_t kMagic = 0x57514D41u;
-inline constexpr std::uint8_t kVersion1 = 1;  ///< legacy, still decoded
-inline constexpr std::uint8_t kVersion = 2;   ///< newest the codecs speak
+inline constexpr std::uint8_t kVersion = 2;  ///< the version the codecs speak
 
 /// Frame payload discriminator.
 enum class Kind : std::uint8_t {
@@ -103,15 +102,13 @@ enum class DecodeError : std::uint8_t {
 /// Parsed frame prefix.
 struct FrameHeader {
   Kind kind = Kind::request_batch;
-  std::uint8_t version = kVersion1;  ///< wire version of this frame (1 or 2)
-  std::uint8_t attempt = 0;          ///< v2: client resubmission count
+  std::uint8_t attempt = 0;         ///< client resubmission count
   std::uint32_t count = 0;          ///< records in the payload
   std::uint32_t payload_bytes = 0;  ///< bytes following the header
 };
 
 inline constexpr std::size_t kHeaderBytes = 16;
-inline constexpr std::size_t kRequestRecordBytes = 144;     ///< v1 stride
-inline constexpr std::size_t kRequestRecordBytesV2 = 152;   ///< + deadline_us
+inline constexpr std::size_t kRequestRecordBytes = 152;  ///< incl. deadline
 inline constexpr std::size_t kResultRecordBytes = 80;  ///< + message bytes
 /// Hard cap on one frame (header + payload): bounds decoder memory against
 /// a corrupted/hostile length field. 64 MiB ~ 450k requests per frame.
@@ -122,33 +119,22 @@ inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 26;
   return kHeaderBytes + hdr.payload_bytes;
 }
 
-/// Append one v1 request-batch frame to `out` (existing contents are kept,
-/// so a caller can pack several frames into one write). Throws
-/// std::length_error if the batch cannot fit the wire limits — a caller
-/// bug, unlike decode errors, which are data. Deadline-free callers keep
-/// emitting v1 on purpose: it proves the cross-version decode path on
-/// every steady-state round trip.
-void encode_request_batch(std::span<const pricing::PricingRequest> requests,
-                          std::vector<std::byte>& out);
-
-/// Append one v2 request-batch frame carrying per-item deadlines.
-/// `deadline_us[i]` is requests[i]'s REMAINING budget in microseconds
-/// (0 = no deadline); `deadline_us` may be empty (all items unbounded) but
-/// must otherwise match `requests` in size. `attempt` is the retrying
-/// client's resubmission counter for this frame (0 = first try).
+/// Append one request-batch frame carrying per-item deadlines to `out`
+/// (existing contents are kept, so a caller can pack several frames into
+/// one write). `deadline_us[i]` is requests[i]'s REMAINING budget in
+/// microseconds (0 = no deadline); `deadline_us` may be empty (all items
+/// unbounded) but must otherwise match `requests` in size. `attempt` is
+/// the retrying client's resubmission counter for this frame (0 = first
+/// try). Throws std::length_error if the batch cannot fit the wire limits
+/// — a caller bug, unlike decode errors, which are data.
 void encode_request_batch_v2(std::span<const pricing::PricingRequest> requests,
                              std::span<const std::uint64_t> deadline_us,
                              std::uint8_t attempt, std::vector<std::byte>& out);
 
 /// Append one result-batch frame to `out`. `PricingResult::error` is not
-/// serialized (see header comment). `version` selects the frame version —
-/// a server answers in the version the request frame arrived with, so v1
-/// peers never see a v2 status byte. Encoding `Status::deadline_exceeded`
-/// into a v1 frame is a caller bug (throws std::length_error like the
-/// other encode-side contract violations).
+/// serialized (see header comment).
 void encode_result_batch(std::span<const pricing::PricingResult> results,
-                         std::vector<std::byte>& out,
-                         std::uint8_t version = kVersion);
+                         std::vector<std::byte>& out);
 
 /// Validate and parse the 16-byte frame header at the front of `buf`.
 /// Returns `need_more` when fewer than kHeaderBytes are present. On `ok`
@@ -157,19 +143,19 @@ void encode_result_batch(std::span<const pricing::PricingResult> results,
                                       FrameHeader& hdr);
 
 /// Decode the request-batch frame at the front of `buf` into `out`
-/// (resized to the record count; capacity reused across calls). Accepts
-/// BOTH wire versions; a v2 frame's deadlines are dropped. On `ok`,
-/// `consumed` is the frame's total size — the stream caller drops exactly
-/// that many bytes. `need_more` when `buf` holds only a frame prefix.
+/// (resized to the record count; capacity reused across calls); the
+/// frame's deadlines are dropped. On `ok`, `consumed` is the frame's total
+/// size — the stream caller drops exactly that many bytes. `need_more`
+/// when `buf` holds only a frame prefix.
 /// Never reads past `buf`, never writes past `out`'s records.
 [[nodiscard]] DecodeError decode_request_batch(
     std::span<const std::byte> buf, std::vector<pricing::PricingRequest>& out,
     std::size_t& consumed);
 
 /// Deadline-aware overload (the server's): additionally fills
-/// `deadline_us` (resized to the record count, 0 = no deadline — always 0
-/// for a v1 frame) and `hdr` with the parsed header, whose `version` and
-/// `attempt` the caller uses to mirror the reply version and count retries.
+/// `deadline_us` (resized to the record count, 0 = no deadline) and `hdr`
+/// with the parsed header, whose `attempt` the caller uses to count
+/// retries.
 [[nodiscard]] DecodeError decode_request_batch(
     std::span<const std::byte> buf, std::vector<pricing::PricingRequest>& out,
     std::vector<std::uint64_t>& deadline_us, FrameHeader& hdr,

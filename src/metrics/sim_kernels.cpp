@@ -216,8 +216,8 @@ class FftReplayer {
     for (std::size_t i = 0; i < n_out; ++i) (void)ra[i];  // copy out
   }
 
-  /// The seed's packed-complex two-for-one pipeline
-  /// (conv::Policy::Path::fft_packed), kept for model-parity tests.
+  /// The seed's packed-complex two-for-one pipeline (no longer in conv),
+  /// kept for model-parity tests and the degenerate tiny sizes above.
   void convolution_packed(std::size_t n_in, std::size_t n_kernel,
                           std::size_t n_out) {
     const std::size_t full = n_in + n_kernel - 1;

@@ -619,9 +619,9 @@ void Pricer::price_many_into(std::span<const PricingRequest> requests,
   // Opt-in cross-expiry kernel sharing: renormalize a copy of the batch so
   // commensurate expiries derive bit-equal taps and the grouping below
   // lands them in ONE registry entry (see PricerConfig).
-  if (cfg_.share_kernels_across_expiries) {
+  if (cfg_.share_expiries.has_value()) {
     scratch.normalized.assign(requests.begin(), requests.end());
-    normalize_expiries(scratch.normalized, cfg_.share_quantum);
+    normalize_expiries(scratch.normalized, *cfg_.share_expiries);
     requests = scratch.normalized;
   }
 
@@ -701,7 +701,7 @@ void Pricer::price_many_into(std::span<const PricingRequest> requests,
   };
 
   auto& pool = core::TaskPool::instance();
-  if (cfg_.parallel && requests.size() > 1 && cfg_.threads != 1 &&
+  if (requests.size() > 1 && cfg_.threads != 1 &&
       pool.concurrency() > 1) {
     // Parallelize across items (counter-scheduled, like the old
     // schedule(dynamic,1)); the inner solvers see the enclosing region and

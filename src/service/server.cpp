@@ -394,16 +394,13 @@ void Server::serve(Transport& transport) {
       if (e != wire::DecodeError::ok) {
         // Malformed frame: the stream is desynchronized, so answer with a
         // one-record diagnostic and hang up rather than guess at resync.
-        // The diagnostic goes out as v1 — `error` is legal in both
-        // versions, and a header too corrupt to parse has no version to
-        // mirror.
         decode_errors_.fetch_add(1, std::memory_order_relaxed);
         std::vector<PricingResult> diag(1);
         diag[0].status = pricing::Status::error;
         diag[0].message =
             std::string("decode: ") + std::string(wire::to_string(e));
         reply.clear();
-        wire::encode_result_batch(diag, reply, wire::kVersion1);
+        wire::encode_result_batch(diag, reply);
         (void)transport.write_all(reply);
         transport.close();
         return;
@@ -424,10 +421,7 @@ void Server::serve(Transport& transport) {
       submit(requests, deadlines.data(), results.data(), done);
       done.wait();
       reply.clear();
-      // Answer in the version the frame arrived with: a v1 peer never
-      // sees a v2 status byte (and can never receive deadline_exceeded,
-      // because a v1 frame cannot carry a deadline).
-      wire::encode_result_batch(results, reply, hdr.version);
+      wire::encode_result_batch(results, reply);
       if (!transport.write_all(reply)) return;
       std::memmove(in.data(), in.data() + consumed, have - consumed);
       have -= consumed;

@@ -37,8 +37,7 @@ static_assert(static_cast<int>(pricing::Engine::boundary) == 6);
 static_assert(static_cast<int>(pricing::Status::overloaded) == 4);
 static_assert(static_cast<int>(pricing::Status::deadline_exceeded) == 5);
 static_assert(static_cast<int>(core::BoundaryDrift::growing) == 1);
-static_assert(static_cast<int>(core::MemoryPlane::heap) == 1);
-static_assert(static_cast<int>(conv::Policy::Path::fft_packed) == 3);
+static_assert(static_cast<int>(conv::Policy::Path::fft) == 2);
 
 // ---------------------------------------------------------------- raw I/O
 // All accessors go through memcpy (defined for any alignment, no aliasing
@@ -86,26 +85,19 @@ void store_i32(std::byte* p, std::int32_t v) {
   return static_cast<std::int32_t>(load_le<std::uint32_t>(p));
 }
 
-void put_header(std::byte* p, std::uint8_t version, Kind kind,
-                std::uint8_t attempt, std::uint32_t count,
-                std::uint32_t payload_bytes) {
+void put_header(std::byte* p, Kind kind, std::uint8_t attempt,
+                std::uint32_t count, std::uint32_t payload_bytes) {
   store_le<std::uint32_t>(p, kMagic);
-  p[4] = static_cast<std::byte>(version);
+  p[4] = static_cast<std::byte>(kVersion);
   p[5] = static_cast<std::byte>(kind);
-  p[6] = static_cast<std::byte>(attempt);  // v1: reserved (0)
-  p[7] = std::byte{0};                     // reserved in both versions
+  p[6] = static_cast<std::byte>(attempt);
+  p[7] = std::byte{0};  // reserved
   store_le<std::uint32_t>(p + 8, count);
   store_le<std::uint32_t>(p + 12, payload_bytes);
 }
 
-/// Per-version request-record stride (the only layout difference: v2
-/// appends a trailing u64 deadline_us at offset 144).
-[[nodiscard]] constexpr std::size_t request_stride(std::uint8_t version) {
-  return version >= 2 ? kRequestRecordBytesV2 : kRequestRecordBytes;
-}
-
 // ----------------------------------------------------------- request recs
-// Record layout (offsets in bytes; total kRequestRecordBytes = 144):
+// Record layout (offsets in bytes; total kRequestRecordBytes = 152):
 //    0  f64 x6   spec S, K, R, V, Y, expiry_years
 //   48  i64      T
 //   56  u8 x6    model, right, style, engine, compute, has_solver
@@ -117,9 +109,10 @@ void put_header(std::byte* p, std::uint8_t version, Kind kind,
 //  112  [32]     solver override, all-zero when has_solver == 0:
 //       112 i32  base_case        116 i32 alo_nodes
 //       120 i64  task_cutoff
-//       128 u8x4 parallel, drift, memory, conv_path
+//       128 u8x4 parallel, drift, reserved (0), conv_path
 //       132 i32  alo_quad         136 i32 alo_iterations
 //       140 u32  reserved (0)
+//  144  u64      deadline_us (written by the frame encoder)
 
 void put_request(std::byte* p, const PricingRequest& q) {
   store_f64(p + 0, q.spec.S);
@@ -150,7 +143,7 @@ void put_request(std::byte* p, const PricingRequest& q) {
     store_i64(p + 120, c.task_cutoff);
     p[128] = static_cast<std::byte>(c.parallel ? 1 : 0);
     p[129] = static_cast<std::byte>(c.drift);
-    p[130] = static_cast<std::byte>(c.memory);
+    p[130] = std::byte{0};
     p[131] = static_cast<std::byte>(c.conv_policy.path);
     store_i32(p + 132, c.alo_quad);
     store_i32(p + 136, c.alo_iterations);
@@ -159,6 +152,9 @@ void put_request(std::byte* p, const PricingRequest& q) {
     std::memset(p + 112, 0, 32);
   }
 }
+
+/// Byte offset of the trailing deadline_us field in a request record.
+constexpr std::size_t kDeadlineOffset = 144;
 
 [[nodiscard]] DecodeError get_request(const std::byte* p, PricingRequest& q) {
   const auto u8 = [&](std::size_t off) {
@@ -189,23 +185,23 @@ void put_request(std::byte* p, const PricingRequest& q) {
   q.iv.max_iterations = load_i32(p + 96);
   q.iv.T = load_i64(p + 104);
   if (u8(61) == 1) {
-    if (u8(129) > 1 || u8(130) > 1 || u8(131) > 3 || u8(128) > 1)
+    if (u8(129) > 1 || u8(131) > 2 || u8(128) > 1)
       return DecodeError::bad_enum;
-    if (load_le<std::uint32_t>(p + 140) != 0) return DecodeError::bad_reserved;
+    if (u8(130) != 0 || load_le<std::uint32_t>(p + 140) != 0)
+      return DecodeError::bad_reserved;
     core::SolverConfig c;
     c.base_case = load_i32(p + 112);
     c.alo_nodes = load_i32(p + 116);
     c.task_cutoff = load_i64(p + 120);
     c.parallel = u8(128) != 0;
     c.drift = static_cast<core::BoundaryDrift>(u8(129));
-    c.memory = static_cast<core::MemoryPlane>(u8(130));
     c.conv_policy.path = static_cast<conv::Policy::Path>(u8(131));
     c.alo_quad = load_i32(p + 132);
     c.alo_iterations = load_i32(p + 136);
     q.solver = c;
   } else {
     // The solver block must be all-zero when absent: free corruption
-    // detection over a quarter of the record.
+    // detection over a fifth of the record.
     for (std::size_t off = 112; off < 144; ++off)
       if (u8(off) != 0) return DecodeError::bad_reserved;
     q.solver.reset();
@@ -242,15 +238,13 @@ void put_result(std::byte* p, const PricingResult& r) {
 }
 
 [[nodiscard]] DecodeError get_result(const std::byte* p, std::size_t avail,
-                                     std::uint8_t version, PricingResult& r,
+                                     PricingResult& r,
                                      std::size_t& record_bytes) {
   if (avail < kResultRecordBytes) return DecodeError::bad_length;
   const auto u8 = [&](std::size_t off) {
     return static_cast<std::uint8_t>(p[off]);
   };
-  // v1 predates deadline_exceeded: its status byte tops out at overloaded.
-  const std::uint8_t status_max = version >= 2 ? 5 : 4;
-  if (u8(0) > status_max || u8(1) > 1) return DecodeError::bad_enum;
+  if (u8(0) > 5 || u8(1) > 1) return DecodeError::bad_enum;
   if (load_le<std::uint16_t>(p + 2) != 0 ||
       load_le<std::uint32_t>(p + 76) != 0)
     return DecodeError::bad_reserved;
@@ -278,24 +272,6 @@ void put_result(std::byte* p, const PricingResult& r) {
 
 // ---------------------------------------------------------------- encode
 
-void encode_request_batch(std::span<const PricingRequest> requests,
-                          std::vector<std::byte>& out) {
-  const std::size_t payload = requests.size() * kRequestRecordBytes;
-  if (requests.size() > std::numeric_limits<std::uint32_t>::max() ||
-      kHeaderBytes + payload > kMaxFrameBytes)
-    throw std::length_error("amopt: request batch exceeds wire frame limits");
-  const std::size_t base = out.size();
-  out.resize(base + kHeaderBytes + payload);
-  put_header(out.data() + base, kVersion1, Kind::request_batch, 0,
-             static_cast<std::uint32_t>(requests.size()),
-             static_cast<std::uint32_t>(payload));
-  std::byte* p = out.data() + base + kHeaderBytes;
-  for (const PricingRequest& q : requests) {
-    put_request(p, q);
-    p += kRequestRecordBytes;
-  }
-}
-
 void encode_request_batch_v2(std::span<const PricingRequest> requests,
                              std::span<const std::uint64_t> deadline_us,
                              std::uint8_t attempt,
@@ -303,41 +279,34 @@ void encode_request_batch_v2(std::span<const PricingRequest> requests,
   if (!deadline_us.empty() && deadline_us.size() != requests.size())
     throw std::length_error(
         "amopt: deadline_us must be empty or match the request count");
-  const std::size_t payload = requests.size() * kRequestRecordBytesV2;
+  const std::size_t payload = requests.size() * kRequestRecordBytes;
   if (requests.size() > std::numeric_limits<std::uint32_t>::max() ||
       kHeaderBytes + payload > kMaxFrameBytes)
     throw std::length_error("amopt: request batch exceeds wire frame limits");
   const std::size_t base = out.size();
   out.resize(base + kHeaderBytes + payload);
-  put_header(out.data() + base, kVersion, Kind::request_batch, attempt,
+  put_header(out.data() + base, Kind::request_batch, attempt,
              static_cast<std::uint32_t>(requests.size()),
              static_cast<std::uint32_t>(payload));
   std::byte* p = out.data() + base + kHeaderBytes;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     put_request(p, requests[i]);
-    store_le<std::uint64_t>(p + kRequestRecordBytes,
+    store_le<std::uint64_t>(p + kDeadlineOffset,
                             deadline_us.empty() ? 0 : deadline_us[i]);
-    p += kRequestRecordBytesV2;
+    p += kRequestRecordBytes;
   }
 }
 
 void encode_result_batch(std::span<const PricingResult> results,
-                         std::vector<std::byte>& out, std::uint8_t version) {
-  if (version != kVersion1 && version != kVersion)
-    throw std::length_error("amopt: unknown result frame version");
+                         std::vector<std::byte>& out) {
   std::size_t payload = results.size() * kResultRecordBytes;
-  for (const PricingResult& r : results) {
-    if (version < 2 && r.status == pricing::Status::deadline_exceeded)
-      throw std::length_error(
-          "amopt: deadline_exceeded cannot travel in a v1 result frame");
-    payload += r.message.size();
-  }
+  for (const PricingResult& r : results) payload += r.message.size();
   if (results.size() > std::numeric_limits<std::uint32_t>::max() ||
       kHeaderBytes + payload > kMaxFrameBytes)
     throw std::length_error("amopt: result batch exceeds wire frame limits");
   const std::size_t base = out.size();
   out.resize(base + kHeaderBytes + payload);
-  put_header(out.data() + base, version, Kind::result_batch, 0,
+  put_header(out.data() + base, Kind::result_batch, 0,
              static_cast<std::uint32_t>(results.size()),
              static_cast<std::uint32_t>(payload));
   std::byte* p = out.data() + base + kHeaderBytes;
@@ -353,20 +322,14 @@ DecodeError peek_header(std::span<const std::byte> buf, FrameHeader& hdr) {
   if (buf.size() < kHeaderBytes) return DecodeError::need_more;
   const std::byte* p = buf.data();
   if (load_le<std::uint32_t>(p) != kMagic) return DecodeError::bad_magic;
-  const std::uint8_t version = static_cast<std::uint8_t>(p[4]);
-  if (version != kVersion1 && version != kVersion)
+  if (static_cast<std::uint8_t>(p[4]) != kVersion)
     return DecodeError::bad_version;
   const std::uint8_t kind = static_cast<std::uint8_t>(p[5]);
   if (kind != static_cast<std::uint8_t>(Kind::request_batch) &&
       kind != static_cast<std::uint8_t>(Kind::result_batch))
     return DecodeError::bad_kind;
-  // Byte 6 is reserved-zero in v1, the attempt counter in v2; byte 7 is
-  // reserved-zero in both.
-  if (version < 2 && static_cast<std::uint8_t>(p[6]) != 0)
-    return DecodeError::bad_reserved;
   if (static_cast<std::uint8_t>(p[7]) != 0) return DecodeError::bad_reserved;
-  hdr.version = version;
-  hdr.attempt = version >= 2 ? static_cast<std::uint8_t>(p[6]) : 0;
+  hdr.attempt = static_cast<std::uint8_t>(p[6]);
   hdr.kind = static_cast<Kind>(kind);
   hdr.count = load_le<std::uint32_t>(p + 8);
   hdr.payload_bytes = load_le<std::uint32_t>(p + 12);
@@ -389,9 +352,8 @@ namespace {
   if (const DecodeError e = peek_header(buf, hdr); e != DecodeError::ok)
     return e;
   if (hdr.kind != Kind::request_batch) return DecodeError::bad_kind;
-  const std::size_t stride = request_stride(hdr.version);
   if (static_cast<std::size_t>(hdr.payload_bytes) !=
-      static_cast<std::size_t>(hdr.count) * stride)
+      static_cast<std::size_t>(hdr.count) * kRequestRecordBytes)
     return DecodeError::bad_length;
   if (buf.size() < frame_bytes(hdr)) return DecodeError::need_more;
   out.resize(hdr.count);
@@ -401,10 +363,8 @@ namespace {
     if (const DecodeError e = get_request(p, out[i]); e != DecodeError::ok)
       return e;
     if (deadline_us != nullptr)
-      (*deadline_us)[i] = hdr.version >= 2
-                              ? load_le<std::uint64_t>(p + kRequestRecordBytes)
-                              : 0;
-    p += stride;
+      (*deadline_us)[i] = load_le<std::uint64_t>(p + kDeadlineOffset);
+    p += kRequestRecordBytes;
   }
   if (hdr_out != nullptr) *hdr_out = hdr;
   consumed = frame_bytes(hdr);
@@ -441,7 +401,7 @@ DecodeError decode_result_batch(std::span<const std::byte> buf,
   for (std::uint32_t i = 0; i < hdr.count; ++i) {
     std::size_t record_bytes = 0;
     if (const DecodeError e =
-            get_result(p, remaining, hdr.version, out[i], record_bytes);
+            get_result(p, remaining, out[i], record_bytes);
         e != DecodeError::ok)
       return e;
     p += record_bytes;

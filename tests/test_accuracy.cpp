@@ -242,7 +242,7 @@ TEST(Accuracy, BoundaryEngineAgainstConvergedPreset) {
 }
 
 // ---- quantized kernel sharing -------------------------------------------
-// A drifting-vol chain under share_quantum: the snap moves each leg's vol
+// A drifting-vol chain under a sharing quantum: the snap moves each leg's vol
 // by < quantum relative, so prices move first-order by vega * dV on top of
 // the sharing refinement. Reference: the SAME batch priced unshared at the
 // SAME level/width — the deviation isolates exactly what the quantized
@@ -265,8 +265,7 @@ TEST(Accuracy, ShareQuantumPerturbationWithinContract) {
     Pricer off(off_cfg);
     const auto plain = off.price_many(chain);
     PricerConfig on_cfg = off_cfg;
-    on_cfg.share_kernels_across_expiries = true;
-    on_cfg.share_quantum = quantum;
+    on_cfg.share_expiries = quantum;
     Pricer on(on_cfg);
     const auto shared = on.price_many(chain);
     double worst = 0.0;

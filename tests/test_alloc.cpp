@@ -12,8 +12,6 @@
 #include "amopt/core/lattice_solver.hpp"
 #include "amopt/core/scratch.hpp"
 #include "amopt/pricing/bopm.hpp"
-#include "amopt/pricing/bsm_fdm.hpp"
-#include "amopt/pricing/topm.hpp"
 #include "amopt/pricing/params.hpp"
 #include "amopt/pricing/pricer.hpp"
 #include "amopt/stencil/kernel_cache.hpp"
@@ -127,7 +125,7 @@ TEST(PricerAlloc, ScratchTrimBytesDecaysTheArenaBetweenBatches) {
   // the serving thread's arena after each batch, so a huge-T quote doesn't
   // pin its high-water mark for the rest of the session.
   pricing::PricerConfig pc;
-  pc.parallel = false;
+  pc.threads = 1;
   pc.scratch_trim_bytes = std::size_t{1} << 13;
   pricing::Pricer session(pc);
   pricing::PricingRequest req;
@@ -168,36 +166,6 @@ TEST(Descend, SteadyStateDescendPerformsZeroAllocations) {
     ASSERT_EQ(out.red[j], ref.red[j]) << "j=" << j;
 }
 
-TEST(Descend, HeapMemoryPlaneIsBitIdentical) {
-  const auto spec = pricing::paper_spec();
-  for (const std::int64_t T : {500LL, 2048LL}) {
-    core::SolverConfig heap_cfg;
-    heap_cfg.memory = core::MemoryPlane::heap;
-    const double arena = pricing::bopm::american_call_fft(spec, T);
-    const double heap = pricing::bopm::american_call_fft(spec, T, heap_cfg);
-    EXPECT_EQ(arena, heap) << "bopm T=" << T;
-    const double arena_put =
-        pricing::bopm::american_put_fft_direct(spec, T, {});
-    const double heap_put =
-        pricing::bopm::american_put_fft_direct(spec, T, heap_cfg);
-    EXPECT_EQ(arena_put, heap_put) << "bopm put (growing) T=" << T;
-    const double arena_bsm = pricing::bsm::american_put_fft(spec, T);
-    const double heap_bsm = pricing::bsm::american_put_fft(spec, T, heap_cfg);
-    EXPECT_EQ(arena_bsm, heap_bsm) << "bsm T=" << T;
-  }
-  // TOPM (g = 2) is the family whose leaf interiors actually reach the
-  // fused two-row sweep, so it pins the partition-identity property on FMA
-  // dispatch levels; sweep more T to cover many interior widths.
-  core::SolverConfig heap_cfg;
-  heap_cfg.memory = core::MemoryPlane::heap;
-  for (std::int64_t T = 64; T <= 8192; T *= 2) {
-    const double arena_topm = pricing::topm::american_call_fft(spec, T, {});
-    const double heap_topm =
-        pricing::topm::american_call_fft(spec, T, heap_cfg);
-    EXPECT_EQ(arena_topm, heap_topm) << "topm T=" << T;
-  }
-}
-
 TEST(PricerAlloc, WarmBatchAllocationsAreIndependentOfT) {
   // A warm session batch still allocates (results vector, request copies,
   // row buffers of brand-new solver objects are arena-backed but the
@@ -206,7 +174,7 @@ TEST(PricerAlloc, WarmBatchAllocationsAreIndependentOfT) {
   // per-level allocations of the old memory plane are gone.
   using namespace amopt::pricing;
   PricerConfig pc;
-  pc.parallel = false;  // deterministic item->thread placement for counting
+  pc.threads = 1;  // deterministic item->thread placement for counting
   Pricer session(pc);
   const auto count_batch = [&](std::int64_t T) {
     std::vector<PricingRequest> reqs(4);

@@ -92,22 +92,26 @@ TEST(LatticeSolver, IntermediateStopsAgree) {
 }
 
 TEST(LatticeSolver, TrinomialDescendMatchesNaive) {
+  // g = 2 cones can reach past a fully red row's last cell; the sweep over
+  // T covers many trapezoid shapes, and each descent must keep its
+  // boundary inside the lattice (row 0 holds one cell).
   const OptionSpec spec = pricing::paper_spec();
-  const std::int64_t T = 400;
-  const auto prm = pricing::derive_topm(spec, T);
-  const pricing::topm::CallGreen green(spec, prm);
-  core::LatticeSolver fast({{prm.s0, prm.s1, prm.s2}, 0}, green, {});
-  core::LatticeSolver slow({{prm.s0, prm.s1, prm.s2}, 0}, green, {});
+  for (std::int64_t T = 64; T <= 4096; T *= 2) {
+    const auto prm = pricing::derive_topm(spec, T);
+    const pricing::topm::CallGreen green(spec, prm);
+    core::LatticeSolver fast({{prm.s0, prm.s1, prm.s2}, 0}, green, {});
+    core::LatticeSolver slow({{prm.s0, prm.s1, prm.s2}, 0}, green, {});
 
-  core::LatticeRow top = pricing::topm::expiry_row(prm, green);
-  top = fast.step_naive(top);
-  top = fast.step_naive(top);
-  const auto a = fast.descend(top, 0);
-  const auto b = naive_descend(slow, top, 0);
-  EXPECT_EQ(a.q, b.q);
-  ASSERT_EQ(a.red.size(), b.red.size());
-  for (std::size_t j = 0; j < a.red.size(); ++j)
-    EXPECT_NEAR(a.red[j], b.red[j], 1e-9);
+    core::LatticeRow top = pricing::topm::expiry_row(prm, green);
+    top = fast.step_naive(top);
+    top = fast.step_naive(top);
+    const auto a = fast.descend(top, 0);
+    const auto b = naive_descend(slow, top, 0);
+    EXPECT_EQ(a.q, b.q) << "T=" << T;
+    ASSERT_EQ(a.red.size(), b.red.size()) << "T=" << T;
+    for (std::size_t j = 0; j < a.red.size(); ++j)
+      EXPECT_NEAR(a.red[j], b.red[j], 1e-9) << "T=" << T << " j=" << j;
+  }
 }
 
 TEST(LatticeSolver, GrowingModeMatchesNaive) {

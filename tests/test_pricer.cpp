@@ -651,7 +651,7 @@ TEST(Pricer, CrossExpirySharingCollapsesToOneTapGroup) {
   EXPECT_EQ(plain.stats().base_kernel_caches, 5u);
 
   PricerConfig cfg;
-  cfg.share_kernels_across_expiries = true;
+  cfg.share_expiries = 0.0;
   Pricer sharing(cfg);
   const std::vector<PricingResult> on = sharing.price_many(chain);
   for (const PricingResult& r : on) ASSERT_EQ(r.status, Status::ok);
@@ -670,10 +670,10 @@ TEST(Pricer, CrossExpirySharingCollapsesToOneTapGroup) {
 
 TEST(Pricer, CrossExpirySharingOffByDefault) {
   PricerConfig cfg;
-  EXPECT_FALSE(cfg.share_kernels_across_expiries);
+  EXPECT_FALSE(cfg.share_expiries.has_value());
   // And incommensurate mixes never blow up the lattice: a leg whose
   // renormalized T would exceed 8x its request keeps its own grid.
-  cfg.share_kernels_across_expiries = true;
+  cfg.share_expiries = 0.0;
   Pricer session(cfg);
   std::vector<PricingRequest> mix(2);
   for (PricingRequest& q : mix) q.spec = paper_spec();
@@ -688,7 +688,7 @@ TEST(Pricer, CrossExpirySharingOffByDefault) {
   EXPECT_EQ(session.stats().base_kernel_caches, 2u);  // no forced share
 }
 
-// ---- quantized sharing (PricerConfig::share_quantum) --------------------
+// ---- quantized sharing (a positive PricerConfig::share_expiries) --------
 
 // The implementation's bucket function, replicated so the tests can derive
 // values guaranteed inside / astride one bucket instead of guessing.
@@ -723,8 +723,7 @@ TEST(Pricer, ShareQuantumZeroReproducesExactGroupingBitIdentically) {
   Pricer plain;
   const auto off = plain.price_many(chain);
   PricerConfig cfg;
-  cfg.share_kernels_across_expiries = true;
-  ASSERT_EQ(cfg.share_quantum, 0.0);  // the documented default
+  cfg.share_expiries = 0.0;  // exact grouping
   Pricer sharing(cfg);
   const auto on = sharing.price_many(chain);
   for (std::size_t i = 0; i < chain.size(); ++i) {
@@ -747,8 +746,7 @@ TEST(Pricer, ShareQuantumLegsStraddlingBucketBoundaryNeverShare) {
   ASSERT_LT(v_above / v_below - 1.0, quantum);
 
   PricerConfig cfg;
-  cfg.share_kernels_across_expiries = true;
-  cfg.share_quantum = quantum;
+  cfg.share_expiries = quantum;
   Pricer session(cfg);
   const auto res = session.price_many(drifting_vol_chain({v_below, v_above}));
   for (const auto& r : res) ASSERT_EQ(r.status, Status::ok);
@@ -777,8 +775,7 @@ TEST(Pricer, ShareQuantumCollapsesDriftingVolChainToOneGroup) {
   EXPECT_EQ(plain.stats().base_kernel_caches, 5u);
 
   PricerConfig cfg;
-  cfg.share_kernels_across_expiries = true;
-  cfg.share_quantum = quantum;
+  cfg.share_expiries = quantum;
   Pricer sharing(cfg);
   const auto on = sharing.price_many(chain);
   EXPECT_EQ(sharing.stats().base_kernel_caches, 1u);
@@ -806,8 +803,7 @@ TEST(Pricer, ShareQuantumGroupingIsBatchOrderIndependent) {
   std::vector<PricingRequest> rev(fwd.rbegin(), fwd.rend());
 
   PricerConfig cfg;
-  cfg.share_kernels_across_expiries = true;
-  cfg.share_quantum = quantum;
+  cfg.share_expiries = quantum;
   const auto a = Pricer(cfg).price_many(fwd);
   const auto z = Pricer(cfg).price_many(rev);
   for (std::size_t i = 0; i < fwd.size(); ++i)
@@ -905,7 +901,7 @@ TEST(Pricer, ServiceStatsCountBatchesScratchHighWaterAndTrims) {
   // the arena's true high-water mark (measured BEFORE the between-batches
   // trim), and how many trims actually released memory.
   PricerConfig cfg;
-  cfg.parallel = false;  // one thread -> one arena to reason about
+  cfg.threads = 1;  // one thread -> one arena to reason about
   cfg.scratch_trim_bytes = std::size_t{1} << 12;
   Pricer session(cfg);
   EXPECT_EQ(session.stats().batches, 0u);

@@ -251,7 +251,7 @@ TEST(Server, ServesTheFramedProtocolOverLoopback) {
   // two chunks to exercise stream reassembly.
   for (int round = 0; round < 2; ++round) {
     std::vector<std::byte> frame;
-    wire::encode_request_batch(reqs, frame);
+    wire::encode_request_batch_v2(reqs, {}, /*attempt=*/0, frame);
     if (round == 0) {
       ASSERT_TRUE(client->write_all(frame));
     } else {
@@ -388,7 +388,7 @@ TEST(Server, ServeSpeaksV2DeadlinesAndCountsRetriesAndDecodeErrors) {
     r.spec = paper_spec();
     r.T = 64;
   }
-  // A v2 frame with already-hopeless budgets and a retry marker.
+  // A frame with already-hopeless budgets and a retry marker.
   const std::uint64_t budgets[] = {1, 1};
   std::vector<std::byte> frame;
   wire::encode_request_batch_v2(reqs, budgets, /*attempt=*/1, frame);
@@ -399,10 +399,9 @@ TEST(Server, ServeSpeaksV2DeadlinesAndCountsRetriesAndDecodeErrors) {
   EXPECT_EQ(got[0].status, Status::deadline_exceeded);
   EXPECT_EQ(got[1].status, Status::deadline_exceeded);
 
-  // The same connection keeps serving v1 afterwards — replies mirror the
-  // request's version, so this result frame is plain v1.
+  // The same connection keeps serving a deadline-free frame afterwards.
   frame.clear();
-  wire::encode_request_batch({&reqs[0], 1}, frame);
+  wire::encode_request_batch_v2({&reqs[0], 1}, {}, /*attempt=*/0, frame);
   ASSERT_TRUE(client->write_all(frame));
   ASSERT_EQ(read_result_frame(*client, got), wire::DecodeError::ok);
   ASSERT_EQ(got.size(), 1u);
@@ -444,7 +443,7 @@ TEST(Server, TcpHardCloseMidFrameLeavesServerServingNextConnection) {
     PricingRequest q;
     q.spec = paper_spec();
     std::vector<std::byte> frame;
-    wire::encode_request_batch({&q, 1}, frame);
+    wire::encode_request_batch_v2({&q, 1}, {}, /*attempt=*/0, frame);
     // Header plus a few record bytes, then a hard close mid-frame.
     ASSERT_TRUE(dying->write_all({frame.data(), wire::kHeaderBytes + 5}));
     dying->close();
@@ -456,7 +455,7 @@ TEST(Server, TcpHardCloseMidFrameLeavesServerServingNextConnection) {
   q.spec = paper_spec();
   q.T = 96;
   std::vector<std::byte> frame;
-  wire::encode_request_batch({&q, 1}, frame);
+  wire::encode_request_batch_v2({&q, 1}, {}, /*attempt=*/0, frame);
   ASSERT_TRUE(client->write_all(frame));
   std::vector<PricingResult> got;
   ASSERT_EQ(read_result_frame(*client, got), wire::DecodeError::ok);
@@ -482,7 +481,7 @@ TEST(Server, TcpTransportCarriesTheSameProtocol) {
   q.spec = paper_spec();
   q.T = 96;
   std::vector<std::byte> frame;
-  wire::encode_request_batch({&q, 1}, frame);
+  wire::encode_request_batch_v2({&q, 1}, {}, /*attempt=*/0, frame);
   ASSERT_TRUE(client->write_all(frame));
   std::vector<PricingResult> got;
   ASSERT_EQ(read_result_frame(*client, got), wire::DecodeError::ok);

@@ -53,7 +53,7 @@ TEST(ServerAlloc, SteadyStateSubmitPathIsAllocationFree) {
   // counter then measures the hot path, not scheduler placement.
   ThreadScope width(1);
   ServerConfig cfg;
-  cfg.pricer.parallel = false;  // the shard drain serves items serially
+  cfg.pricer.threads = 1;  // the shard drain serves items serially
   cfg.coalesce_window_us = 0;
   Server server(cfg);
 
@@ -90,7 +90,7 @@ TEST(ServerAlloc, AdmissionRejectionPathIsAllocationFree) {
   // message capacity, so after one warm-up round it is 0-allocation.
   ThreadScope width(1);
   ServerConfig cfg;
-  cfg.pricer.parallel = false;
+  cfg.pricer.threads = 1;
   cfg.coalesce_window_us = 0;
   cfg.admit_scratch_bytes = 1;  // any real pricing overshoots this ceiling
   Server server(cfg);
@@ -129,7 +129,7 @@ TEST(ServerAlloc, SteadyStateWireRoundTripIsAllocationFree) {
   // reply on the client — all through reused buffers on both sides.
   ThreadScope width(1);  // one drain worker, one warm arena (see above)
   ServerConfig cfg;
-  cfg.pricer.parallel = false;
+  cfg.pricer.threads = 1;
   cfg.coalesce_window_us = 0;
   Server server(cfg);
   auto [client, daemon] = loopback_pair();
@@ -142,7 +142,7 @@ TEST(ServerAlloc, SteadyStateWireRoundTripIsAllocationFree) {
 
   const auto round_trip = [&] {
     frame.clear();
-    wire::encode_request_batch(reqs, frame);
+    wire::encode_request_batch_v2(reqs, {}, 0, frame);
     ASSERT_TRUE(client->write_all(frame));
     std::size_t have = 0;
     for (;;) {

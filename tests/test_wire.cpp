@@ -61,7 +61,6 @@ void expect_bitwise_equal(const PricingRequest& a, const PricingRequest& b) {
     EXPECT_EQ(a.solver->task_cutoff, b.solver->task_cutoff);
     EXPECT_EQ(a.solver->parallel, b.solver->parallel);
     EXPECT_EQ(a.solver->drift, b.solver->drift);
-    EXPECT_EQ(a.solver->memory, b.solver->memory);
     EXPECT_EQ(a.solver->conv_policy.path, b.solver->conv_policy.path);
     EXPECT_EQ(a.solver->alo_nodes, b.solver->alo_nodes);
     EXPECT_EQ(a.solver->alo_quad, b.solver->alo_quad);
@@ -125,9 +124,7 @@ void expect_bitwise_equal(const PricingResult& a, const PricingResult& b) {
             c.parallel = i % 4 == 0;
             c.drift = i % 4 < 2 ? core::BoundaryDrift::shrinking
                                 : core::BoundaryDrift::growing;
-            c.memory = i % 3 == 0 ? core::MemoryPlane::heap
-                                  : core::MemoryPlane::arena;
-            c.conv_policy.path = static_cast<conv::Policy::Path>(i % 4);
+            c.conv_policy.path = static_cast<conv::Policy::Path>(i % 3);
             c.alo_nodes = 13 + i % 12;
             c.alo_quad = 25 + i % 40;
             c.alo_iterations = 8 + i % 24;
@@ -152,7 +149,7 @@ TEST(Wire, RequestBatchRoundTripsBitIdenticalOverAllCombinations) {
   reqs.push_back(alo);
 
   std::vector<std::byte> buf;
-  wire::encode_request_batch(reqs, buf);
+  wire::encode_request_batch_v2(reqs, {}, /*attempt=*/0, buf);
   EXPECT_EQ(buf.size(),
             wire::kHeaderBytes + reqs.size() * wire::kRequestRecordBytes);
 
@@ -167,7 +164,7 @@ TEST(Wire, RequestBatchRoundTripsBitIdenticalOverAllCombinations) {
 }
 
 TEST(Wire, ResultBatchRoundTripsBitIdentical) {
-  std::vector<PricingResult> results(5);
+  std::vector<PricingResult> results(6);
   results[0].status = Status::ok;
   results[0].price = 6.0930616081388835;
   results[0].greeks = {6.09, -0.55, 0.02, -1.9,
@@ -184,6 +181,8 @@ TEST(Wire, ResultBatchRoundTripsBitIdentical) {
   results[4].status = Status::overloaded;
   results[4].message = "overloaded: shard queue full; retry after a backoff";
   results[4].price = -0.0;
+  results[5].status = Status::deadline_exceeded;
+  results[5].message = "deadline exceeded: request went stale";
 
   std::vector<std::byte> buf;
   wire::encode_result_batch(results, buf);
@@ -201,7 +200,7 @@ TEST(Wire, ResultBatchRoundTripsBitIdentical) {
 
 TEST(Wire, EmptyBatchesAreValidFrames) {
   std::vector<std::byte> buf;
-  wire::encode_request_batch({}, buf);
+  wire::encode_request_batch_v2({}, {}, /*attempt=*/0, buf);
   EXPECT_EQ(buf.size(), wire::kHeaderBytes);
   std::vector<PricingRequest> back{PricingRequest{}};
   std::size_t consumed = 0;
@@ -217,7 +216,7 @@ TEST(Wire, UnknownComputeBitsPassThroughForForwardCompat) {
   PricingRequest q;
   q.compute = 0xee;
   std::vector<std::byte> buf;
-  wire::encode_request_batch({&q, 1}, buf);
+  wire::encode_request_batch_v2({&q, 1}, {}, /*attempt=*/0, buf);
   std::vector<PricingRequest> back;
   std::size_t consumed = 0;
   ASSERT_EQ(wire::decode_request_batch(buf, back, consumed),
@@ -226,13 +225,24 @@ TEST(Wire, UnknownComputeBitsPassThroughForForwardCompat) {
 }
 
 TEST(Wire, EveryTruncationIsNeedMoreNeverACrash) {
+  // Through both decoder overloads, including every offset of the
+  // trailing deadline field.
   const std::vector<PricingRequest> reqs(3);
+  const std::uint64_t budgets[] = {1, 2, 3};
   std::vector<std::byte> buf;
-  wire::encode_request_batch(reqs, buf);
+  wire::encode_request_batch_v2(reqs, budgets, /*attempt=*/0, buf);
   std::vector<PricingRequest> out;
+  std::vector<std::uint64_t> dl;
+  wire::FrameHeader hdr;
   for (std::size_t len = 0; len < buf.size(); ++len) {
     std::size_t consumed = ~std::size_t{0};
     EXPECT_EQ(wire::decode_request_batch({buf.data(), len}, out, consumed),
+              wire::DecodeError::need_more)
+        << "prefix length " << len;
+    EXPECT_EQ(consumed, 0u);
+    consumed = ~std::size_t{0};
+    EXPECT_EQ(wire::decode_request_batch({buf.data(), len}, out, dl, hdr,
+                                         consumed),
               wire::DecodeError::need_more)
         << "prefix length " << len;
     EXPECT_EQ(consumed, 0u);
@@ -242,7 +252,7 @@ TEST(Wire, EveryTruncationIsNeedMoreNeverACrash) {
 TEST(Wire, HeaderCorruptionIsDiagnosedPrecisely) {
   PricingRequest q;
   std::vector<std::byte> good;
-  wire::encode_request_batch({&q, 1}, good);
+  wire::encode_request_batch_v2({&q, 1}, {}, /*attempt=*/0, good);
   std::vector<PricingRequest> out;
   std::size_t consumed = 0;
 
@@ -253,8 +263,9 @@ TEST(Wire, HeaderCorruptionIsDiagnosedPrecisely) {
   };
   EXPECT_EQ(mutate(0, 0x00), wire::DecodeError::bad_magic);
   EXPECT_EQ(mutate(4, 0x7f), wire::DecodeError::bad_version);
+  EXPECT_EQ(mutate(4, 0x01), wire::DecodeError::bad_version);  // retired v1
   EXPECT_EQ(mutate(5, 0x09), wire::DecodeError::bad_kind);
-  EXPECT_EQ(mutate(6, 0x01), wire::DecodeError::bad_reserved);
+  EXPECT_EQ(mutate(7, 0x01), wire::DecodeError::bad_reserved);
   // Count/payload mismatch: count says 2, payload holds 1 record.
   EXPECT_EQ(mutate(8, 0x02), wire::DecodeError::bad_length);
   // A result frame fed to the request decoder is a kind error.
@@ -279,7 +290,7 @@ TEST(Wire, RecordCorruptionIsRejected) {
   PricingRequest q;
   q.solver.reset();
   std::vector<std::byte> good;
-  wire::encode_request_batch({&q, 1}, good);
+  wire::encode_request_batch_v2({&q, 1}, {}, /*attempt=*/0, good);
   std::vector<PricingRequest> out;
   std::size_t consumed = 0;
 
@@ -294,6 +305,34 @@ TEST(Wire, RecordCorruptionIsRejected) {
     bad[wire::kHeaderBytes + 130] = static_cast<std::byte>(1);
     EXPECT_EQ(wire::decode_request_batch(bad, out, consumed),
               wire::DecodeError::bad_reserved);
+  }
+  {  // a solver block selecting a retired option is rejected, never
+     // misread: byte 130 (the retired memory plane) is reserved-zero, and
+     // conv path 3 (the retired packed pipeline) is out of range
+    PricingRequest with_solver;
+    with_solver.solver = core::SolverConfig{};
+    std::vector<std::byte> solver_frame;
+    wire::encode_request_batch_v2({&with_solver, 1}, {}, /*attempt=*/0,
+                                  solver_frame);
+    ASSERT_EQ(wire::decode_request_batch(solver_frame, out, consumed),
+              wire::DecodeError::ok);
+    std::vector<std::byte> bad = solver_frame;
+    bad[wire::kHeaderBytes + 130] = static_cast<std::byte>(1);
+    EXPECT_EQ(wire::decode_request_batch(bad, out, consumed),
+              wire::DecodeError::bad_reserved);
+    bad = solver_frame;
+    bad[wire::kHeaderBytes + 131] = static_cast<std::byte>(3);
+    EXPECT_EQ(wire::decode_request_batch(bad, out, consumed),
+              wire::DecodeError::bad_enum);
+  }
+  {  // status byte past deadline_exceeded
+    std::vector<PricingResult> results(1);
+    std::vector<std::byte> res;
+    wire::encode_result_batch(results, res);
+    res[wire::kHeaderBytes] = std::byte{6};
+    std::vector<PricingResult> rout;
+    EXPECT_EQ(wire::decode_result_batch(res, rout, consumed),
+              wire::DecodeError::bad_enum);
   }
   {  // message length pointing past the payload
     std::vector<PricingResult> results(1);
@@ -328,7 +367,7 @@ TEST(Wire, SingleByteFuzzNeverCrashesTheDecoders) {
   std::vector<PricingRequest> reqs(2);
   reqs[1].solver = core::SolverConfig{};
   std::vector<std::byte> good;
-  wire::encode_request_batch(reqs, good);
+  wire::encode_request_batch_v2(reqs, {}, /*attempt=*/0, good);
   std::vector<PricingRequest> out;
   constexpr std::uint8_t kProbes[] = {0x00, 0x01, 0x7f, 0x80, 0xff};
   for (std::size_t off = 0; off < good.size(); ++off) {
@@ -355,9 +394,9 @@ TEST(Wire, StreamDecodingConsumesExactlyOneFrame) {
   first[0].T = 111;
   second[0].T = 222;
   std::vector<std::byte> stream;
-  wire::encode_request_batch(first, stream);
+  wire::encode_request_batch_v2(first, {}, /*attempt=*/0, stream);
   const std::size_t first_bytes = stream.size();
-  wire::encode_request_batch(second, stream);
+  wire::encode_request_batch_v2(second, {}, /*attempt=*/0, stream);
   const std::size_t second_bytes = stream.size() - first_bytes;
   stream.push_back(std::byte{'A'});  // start of a third frame's magic
 
@@ -380,11 +419,10 @@ TEST(Wire, StreamDecodingConsumesExactlyOneFrame) {
             wire::DecodeError::need_more);
 }
 
-// ------------------------------------------------------------- wire v2
-// The deadline extension (DESIGN.md §11): v2 request records carry a
-// trailing u64 remaining-budget field, the header's byte 6 becomes the
-// client's attempt counter, and result frames may carry
-// `deadline_exceeded` — while every v1 frame keeps decoding bit-exactly.
+// ------------------------------------------------------------- deadlines
+// The failure plane's fields (DESIGN.md §11): request records carry a
+// trailing u64 remaining-budget field and the header's byte 6 is the
+// client's attempt counter.
 
 TEST(WireV2, RequestBatchRoundTripsDeadlinesAndAttempt) {
   std::vector<PricingRequest> reqs = exhaustive_requests();
@@ -395,7 +433,7 @@ TEST(WireV2, RequestBatchRoundTripsDeadlinesAndAttempt) {
   std::vector<std::byte> buf;
   wire::encode_request_batch_v2(reqs, deadlines, /*attempt=*/3, buf);
   EXPECT_EQ(buf.size(),
-            wire::kHeaderBytes + reqs.size() * wire::kRequestRecordBytesV2);
+            wire::kHeaderBytes + reqs.size() * wire::kRequestRecordBytes);
 
   std::vector<PricingRequest> back;
   std::vector<std::uint64_t> back_deadlines;
@@ -405,7 +443,6 @@ TEST(WireV2, RequestBatchRoundTripsDeadlinesAndAttempt) {
       wire::decode_request_batch(buf, back, back_deadlines, hdr, consumed),
       wire::DecodeError::ok);
   EXPECT_EQ(consumed, buf.size());
-  EXPECT_EQ(hdr.version, 2);
   EXPECT_EQ(hdr.attempt, 3);
   ASSERT_EQ(back.size(), reqs.size());
   ASSERT_EQ(back_deadlines.size(), deadlines.size());
@@ -413,150 +450,34 @@ TEST(WireV2, RequestBatchRoundTripsDeadlinesAndAttempt) {
     expect_bitwise_equal(reqs[i], back[i]);
     EXPECT_EQ(back_deadlines[i], deadlines[i]);
   }
-}
 
-TEST(WireV2, CrossVersionDecoding) {
-  // v1 frame through the deadline-aware decoder: zero deadlines, attempt 0.
-  std::vector<PricingRequest> reqs(2);
-  reqs[0].T = 333;
-  std::vector<std::byte> v1;
-  wire::encode_request_batch(reqs, v1);
-  std::vector<PricingRequest> out;
-  std::vector<std::uint64_t> dl{99u, 99u};  // stale values must be overwritten
-  wire::FrameHeader hdr;
-  std::size_t consumed = 0;
-  ASSERT_EQ(wire::decode_request_batch(v1, out, dl, hdr, consumed),
+  // The deadline-free decoder drops the budgets and keeps the requests.
+  std::vector<PricingRequest> plain;
+  ASSERT_EQ(wire::decode_request_batch(buf, plain, consumed),
             wire::DecodeError::ok);
-  EXPECT_EQ(hdr.version, 1);
-  EXPECT_EQ(hdr.attempt, 0);
-  EXPECT_EQ(dl, (std::vector<std::uint64_t>{0, 0}));
-  EXPECT_EQ(out.at(0).T, 333);
-
-  // v2 frame through the legacy deadline-free decoder: deadlines dropped,
-  // requests intact.
-  std::vector<std::byte> v2;
-  const std::uint64_t budgets[] = {500, 0};
-  wire::encode_request_batch_v2(reqs, budgets, /*attempt=*/1, v2);
-  ASSERT_EQ(wire::decode_request_batch(v2, out, consumed),
-            wire::DecodeError::ok);
-  EXPECT_EQ(consumed, v2.size());
-  ASSERT_EQ(out.size(), 2u);
-  expect_bitwise_equal(reqs[0], out[0]);
+  EXPECT_EQ(consumed, buf.size());
+  ASSERT_EQ(plain.size(), reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i)
+    expect_bitwise_equal(reqs[i], plain[i]);
 }
 
-TEST(WireV2, EveryTruncationIsNeedMoreAtEveryNewOffset) {
-  std::vector<PricingRequest> reqs(3);
-  const std::uint64_t budgets[] = {1, 2, 3};
-  std::vector<std::byte> buf;
-  wire::encode_request_batch_v2(reqs, budgets, /*attempt=*/0, buf);
-  std::vector<PricingRequest> out;
-  std::vector<std::uint64_t> dl;
-  wire::FrameHeader hdr;
-  for (std::size_t len = 0; len < buf.size(); ++len) {
-    std::size_t consumed = ~std::size_t{0};
-    EXPECT_EQ(wire::decode_request_batch({buf.data(), len}, out, dl, hdr,
-                                         consumed),
-              wire::DecodeError::need_more)
-        << "prefix length " << len;
-    EXPECT_EQ(consumed, 0u);
-  }
-}
-
-TEST(WireV2, HeaderValidationPerVersion) {
-  PricingRequest q;
-  std::vector<std::byte> v2;
-  wire::encode_request_batch_v2({&q, 1}, {}, /*attempt=*/7, v2);
-  std::vector<PricingRequest> out;
-  std::size_t consumed = 0;
-
-  // A nonzero byte 6 is the attempt counter in v2 (not bad_reserved)...
-  ASSERT_EQ(wire::decode_request_batch(v2, out, consumed),
-            wire::DecodeError::ok);
-  // ...byte 7 stays reserved-zero in both versions...
-  {
-    std::vector<std::byte> bad = v2;
-    bad[7] = std::byte{1};
-    EXPECT_EQ(wire::decode_request_batch(bad, out, consumed),
-              wire::DecodeError::bad_reserved);
-  }
-  // ...and a version this decoder does not speak is still rejected.
-  {
-    std::vector<std::byte> bad = v2;
-    bad[4] = std::byte{3};
-    EXPECT_EQ(wire::decode_request_batch(bad, out, consumed),
-              wire::DecodeError::bad_version);
-  }
-  // Re-labeling the v2 frame as v1 fails at its first v1 violation: with
-  // the attempt byte set it is bad_reserved (v1 keeps byte 6 zero); with
-  // attempt 0 the 152-byte stride mismatches v1's 144 and it is
-  // bad_length. The version byte decides the stride, no guessing.
-  {
-    std::vector<std::byte> bad = v2;
-    bad[4] = std::byte{1};
-    EXPECT_EQ(wire::decode_request_batch(bad, out, consumed),
-              wire::DecodeError::bad_reserved);
-  }
-  {
-    std::vector<std::byte> relabeled;
-    wire::encode_request_batch_v2({&q, 1}, {}, /*attempt=*/0, relabeled);
-    relabeled[4] = std::byte{1};
-    EXPECT_EQ(wire::decode_request_batch(relabeled, out, consumed),
-              wire::DecodeError::bad_length);
-  }
-}
-
-TEST(WireV2, DeadlineExceededTravelsOnlyInV2Frames) {
-  std::vector<PricingResult> results(1);
-  results[0].status = Status::deadline_exceeded;
-  results[0].message = "deadline exceeded: request went stale";
-
-  // v2: round trips.
-  std::vector<std::byte> buf;
-  wire::encode_result_batch(results, buf, /*version=*/2);
-  std::vector<PricingResult> back;
-  std::size_t consumed = 0;
-  ASSERT_EQ(wire::decode_result_batch(buf, back, consumed),
-            wire::DecodeError::ok);
-  EXPECT_EQ(back.at(0).status, Status::deadline_exceeded);
-
-  // Encoding it into a v1 frame is a caller bug, not silent corruption.
-  std::vector<std::byte> v1;
-  EXPECT_THROW(wire::encode_result_batch(results, v1, /*version=*/1),
-               std::length_error);
-
-  // A hand-patched v1 frame claiming status 5 is rejected on decode: v1
-  // peers never see a status byte they do not speak.
-  results[0].status = Status::ok;
-  results[0].message.clear();
-  std::vector<std::byte> patched;
-  wire::encode_result_batch(results, patched, /*version=*/1);
-  patched[wire::kHeaderBytes] = std::byte{5};
-  EXPECT_EQ(wire::decode_result_batch(patched, back, consumed),
-            wire::DecodeError::bad_enum);
-  // And out-of-range even for v2 is still bad_enum.
-  std::vector<std::byte> patched2;
-  wire::encode_result_batch(results, patched2, /*version=*/2);
-  patched2[wire::kHeaderBytes] = std::byte{6};
-  EXPECT_EQ(wire::decode_result_batch(patched2, back, consumed),
-            wire::DecodeError::bad_enum);
-}
-
-TEST(WireV2, MixedVersionMultiFrameStreamWithInjectedFaults) {
-  // A stream of v1 and v2 frames back to back, decoded the way serve()
-  // does — then the same stream with faults injected between and inside
-  // frames. The decoder must peel clean frames exactly and convert every
-  // fault into a DecodeError at the frame it corrupts, never before.
+TEST(WireV2, MultiFrameStreamWithInjectedFaults) {
+  // A stream of frames with and without deadlines back to back, decoded
+  // the way serve() does — then the same stream with faults injected
+  // between and inside frames. The decoder must peel clean frames exactly
+  // and convert every fault into a DecodeError at the frame it corrupts,
+  // never before.
   std::vector<PricingRequest> a(2), b(1), c(3);
   a[0].T = 11;
   b[0].T = 22;
   c[0].T = 33;
   const std::uint64_t budgets_b[] = {1234};
   std::vector<std::byte> stream;
-  wire::encode_request_batch(a, stream);
+  wire::encode_request_batch_v2(a, {}, /*attempt=*/0, stream);
   const std::size_t a_end = stream.size();
   wire::encode_request_batch_v2(b, budgets_b, /*attempt=*/2, stream);
   const std::size_t b_end = stream.size();
-  wire::encode_request_batch(c, stream);
+  wire::encode_request_batch_v2(c, {}, /*attempt=*/0, stream);
 
   const auto drain = [](std::span<const std::byte> cursor,
                         std::vector<std::size_t>& counts) {
@@ -624,9 +545,9 @@ TEST(WireV2, MixedVersionMultiFrameStreamWithInjectedFaults) {
 TEST(Wire, EncodeAppendsSoFramesPackIntoOneWrite) {
   PricingRequest q;
   std::vector<std::byte> buf;
-  wire::encode_request_batch({&q, 1}, buf);
+  wire::encode_request_batch_v2({&q, 1}, {}, /*attempt=*/0, buf);
   const std::size_t one = buf.size();
-  wire::encode_request_batch({&q, 1}, buf);
+  wire::encode_request_batch_v2({&q, 1}, {}, /*attempt=*/0, buf);
   EXPECT_EQ(buf.size(), 2 * one);  // first frame untouched, second appended
   wire::FrameHeader hdr;
   EXPECT_EQ(wire::peek_header(buf, hdr), wire::DecodeError::ok);
