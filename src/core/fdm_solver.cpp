@@ -234,7 +234,7 @@ std::int64_t FdmSolver::solve(std::int64_t n0, std::int64_t f0,
   const std::int64_t h = (L + 1) / 2;
   const std::int64_t h2 = L - h;
   AMOPT_ENSURES(h >= 1 && h2 >= 1);
-  const bool spawn = cfg_.parallel && h >= cfg_.task_cutoff;
+  const bool spawn = cfg_.parallel && h >= kTaskCutoff;
 
   // The h-step correlation over the provably-red cells. Same spectral
   // routing as LatticeSolver::run_conv: FFT-path sweeps consume the cache's
@@ -244,14 +244,14 @@ std::int64_t FdmSolver::solve(std::int64_t n0, std::int64_t f0,
     const std::span<const double> kernel =
         kernels_->power(static_cast<std::uint64_t>(h));
     if (conv::correlate_prefers_fft(conv_out.size(), kernel.size(),
-                                    cfg_.conv_policy)) {
+                                    conv::Policy{})) {
       const auto spec = kernels_->power_spectrum(
           static_cast<std::uint64_t>(h),
           conv::correlate_fft_size(conv_out.size(), kernel.size()));
       conv::correlate_valid(in, *spec, conv_out, conv::thread_workspace());
       return;
     }
-    conv::correlate_valid(in, kernel, conv_out, cfg_.conv_policy);
+    conv::correlate_valid(in, kernel, conv_out);
   };
 
   // One arena row with base f0 - h (the lowest reachable f_mid) covering

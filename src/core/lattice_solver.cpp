@@ -5,6 +5,7 @@
 
 #include "amopt/common/assert.hpp"
 #include "amopt/core/task_pool.hpp"
+#include "amopt/fft/convolution.hpp"
 #include "amopt/metrics/counters.hpp"
 #include "amopt/simd/kernels.hpp"
 
@@ -55,18 +56,16 @@ void LatticeSolver::step_naive_into(const LatticeRow& row, bool unbounded_scan,
   AMOPT_EXPECTS(row.i >= 1);
   AMOPT_EXPECTS(row.q < 0 ||
                 row.q == static_cast<std::int64_t>(row.red.size()) - 1);
-  const bool growing = cfg_.drift == BoundaryDrift::growing;
   next.i = row.i - 1;
   next.q = -1;
-  if (row.q < 0 && !growing && !unbounded_scan) {  // stays green
+  if (row.q < 0 && !unbounded_scan) {  // stays green
     next.red.clear();
     return;
   }
 
   const std::span<const double> taps = kernels_->stencil().taps;
-  const std::int64_t cap =
-      unbounded_scan ? row_width(next.i) : row.q + (growing ? 1 : 0);
-  const std::int64_t jmax = std::min(cap, row_width(next.i));
+  const std::int64_t jmax =
+      unbounded_scan ? row_width(next.i) : std::min(row.q, row_width(next.i));
   next.red.resize(
       static_cast<std::size_t>(std::max<std::int64_t>(jmax + 1, 0)));
   // Same split as solve_base: dispatched sweep over the cells whose tap
@@ -136,7 +135,7 @@ void LatticeSolver::run_conv(std::span<const double> main,
   // transform once. Same bits as the transform-per-call path, so this is
   // pure work elision.
   const std::size_t klen = static_cast<std::size_t>(g_ * h + 1);
-  if (conv::correlate_prefers_fft(out.size(), klen, cfg_.conv_policy)) {
+  if (conv::correlate_prefers_fft(out.size(), klen, conv::Policy{})) {
     const auto spec = kernels_->power_spectrum(
         static_cast<std::uint64_t>(h),
         conv::correlate_fft_size(out.size(), klen));
@@ -145,27 +144,23 @@ void LatticeSolver::run_conv(std::span<const double> main,
   }
   const std::span<const double> kernel =
       kernels_->power(static_cast<std::uint64_t>(h));
-  conv::correlate_valid(main, tail, kernel, out, conv::thread_workspace(),
-                        cfg_.conv_policy);
+  conv::correlate_valid(main, tail, kernel, out, conv::thread_workspace());
 }
 
 std::int64_t LatticeSolver::solve_base(std::int64_t i0, std::int64_t jL,
                                        std::int64_t q0, std::int64_t L,
                                        std::span<const double> in,
                                        std::span<double> out) const {
-  const bool growing = cfg_.drift == BoundaryDrift::growing;
   const std::span<const double> taps = kernels_->stencil().taps;
   const simd::Kernels& kern = simd::kernels();  // one dispatch per call
   const std::int64_t g = static_cast<std::int64_t>(taps.size()) - 1;
-  const std::size_t W =
-      in.size() + (growing ? static_cast<std::size_t>(L) : 0);
 
   // Three rows rotate through the fused two-step sweep (cur, buf1, buf2);
   // the single-step path uses the first two.
   ScratchStack::Frame frame(thread_scratch());
-  std::span<double> cur = frame.alloc(W);
-  std::span<double> buf1 = frame.alloc(W);
-  std::span<double> buf2 = frame.alloc(W);
+  std::span<double> cur = frame.alloc(in.size());
+  std::span<double> buf1 = frame.alloc(in.size());
+  std::span<double> buf2 = frame.alloc(in.size());
   std::copy(in.begin(), in.end(), cur.begin());
 
   // Scalar green-extension tail + boundary-discovery scan for the row that
@@ -208,26 +203,24 @@ std::int64_t LatticeSolver::solve_base(std::int64_t i0, std::int64_t jL,
   };
 
   // One-cell boundary motion, window-local: the boundary moves at most one
-  // cell per step (right for growing, left for shrinking), clipped to the
-  // observable window top jmax (near the lattice tip the row width g*i
-  // clips it below q), with ONE extra cell of slack for numerical ties —
-  // the boundary cell sits exactly where lin == green, and a last-ulp
-  // difference (e.g. the AVX-512 FMA path) can flip that comparison.
-  const auto check_motion = [&](std::int64_t q_src, std::int64_t cap,
-                                std::int64_t jmax, std::int64_t qnext) {
-    AMOPT_DEBUG_ASSERT(
-        growing ? (qnext <= cap && qnext >= std::min(q_src, jmax) - 1)
-                : (qnext <= q_src && qnext >= std::min(q_src - 1, jmax) - 1));
-    (void)q_src, (void)cap, (void)jmax, (void)qnext;
+  // cell left per step, clipped to the observable window top jmax (near the
+  // lattice tip the row width g*i clips it below q), with ONE extra cell of
+  // slack for numerical ties — the boundary cell sits exactly where
+  // lin == green, and a last-ulp difference (e.g. the AVX-512 FMA path) can
+  // flip that comparison.
+  const auto check_motion = [&](std::int64_t q_src, std::int64_t jmax,
+                                std::int64_t qnext) {
+    AMOPT_DEBUG_ASSERT(qnext <= q_src &&
+                       qnext >= std::min(q_src - 1, jmax) - 1);
+    (void)q_src, (void)jmax, (void)qnext;
   };
 
   std::int64_t qcur = q0;
   std::int64_t step = 0;
   while (step < L) {
     const std::int64_t i = i0 - step;  // row being consumed
-    if (qcur < jL && !growing) return jL - 1;  // all green from here down
-    const std::int64_t cap1 = growing ? std::max(qcur, jL - 1) + 1 : qcur;
-    const std::int64_t jmax1 = std::min(cap1, row_width(i - 1));
+    if (qcur < jL) return jL - 1;  // all green from here down
+    const std::int64_t jmax1 = std::min(qcur, row_width(i - 1));
     const std::int64_t jv1 = std::min(jmax1, qcur - g);
     const std::int64_t interior1 = jv1 - jL + 1;
 
@@ -252,10 +245,9 @@ std::int64_t LatticeSolver::solve_base(std::int64_t i0, std::int64_t jL,
           cur.data(), taps.data(), taps.size(), buf1.data(), buf2.data(),
           static_cast<std::size_t>(interior1), static_cast<std::size_t>(n2));
       const std::int64_t q1 = finish_row(i, qcur, cur, buf1, jv1, jmax1);
-      check_motion(qcur, cap1, jmax1, q1);
-      if (q1 < jL && !growing) return jL - 1;
-      const std::int64_t cap2 = growing ? std::max(q1, jL - 1) + 1 : q1;
-      const std::int64_t jmax2 = std::min(cap2, row_width(i - 2));
+      check_motion(qcur, jmax1, q1);
+      if (q1 < jL) return jL - 1;
+      const std::int64_t jmax2 = std::min(q1, row_width(i - 2));
       const std::int64_t jv2 = std::min(jmax2, q1 - g);
       if (jv2 >= jL + n2) {
         // Interior cells the speculation could not prove red in advance.
@@ -266,7 +258,7 @@ std::int64_t LatticeSolver::solve_base(std::int64_t i0, std::int64_t jL,
                             static_cast<std::size_t>(jv2 - (jL + n2) + 1));
       }
       const std::int64_t q2 = finish_row(i - 1, q1, buf1, buf2, jv2, jmax2);
-      check_motion(q1, cap2, jmax2, q2);
+      check_motion(q1, jmax2, q2);
       std::swap(cur, buf2);  // rows rotate; old cur becomes scratch
       qcur = q2;
       step += 2;
@@ -282,7 +274,7 @@ std::int64_t LatticeSolver::solve_base(std::int64_t i0, std::int64_t jL,
                           static_cast<std::size_t>(interior1));
     }
     const std::int64_t q1 = finish_row(i, qcur, cur, buf1, jv1, jmax1);
-    check_motion(qcur, cap1, jmax1, q1);
+    check_motion(qcur, jmax1, q1);
     std::swap(cur, buf1);
     qcur = q1;
     step += 1;
@@ -298,12 +290,10 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
                                   std::int64_t q0, std::int64_t L,
                                   std::span<const double> in,
                                   std::span<double> out) {
-  const bool growing = cfg_.drift == BoundaryDrift::growing;
   AMOPT_EXPECTS(L >= 1 && i0 - L >= 0);
-  AMOPT_EXPECTS(growing ? q0 >= jL - 1 : q0 >= jL);
+  AMOPT_EXPECTS(q0 >= jL);
   AMOPT_EXPECTS(static_cast<std::int64_t>(in.size()) == q0 - jL + 1);
-  AMOPT_EXPECTS(static_cast<std::int64_t>(out.size()) >=
-                q0 - jL + 1 + (growing ? L : 0));
+  AMOPT_EXPECTS(out.size() >= in.size());
 
   if (L <= cfg_.base_case || q0 - jL + 1 <= kMinWindowForRecursion)
     return solve_base(i0, jL, q0, L, in, out);
@@ -313,9 +303,10 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
   AMOPT_ENSURES(h >= 1 && h2 >= 1);
 
   // Last provably-convolvable column at depth d below a row with boundary
-  // q: every cell of the cone must stay red while the boundary drifts.
+  // q: every cell of the cone must stay red while the boundary moves left
+  // one cell per row.
   const auto conv_safe = [&](std::int64_t q, std::int64_t d) {
-    return growing ? q - g_ * d : q - d - (g_ - 1) * (d - 1);
+    return q - d - (g_ - 1) * (d - 1);
   };
 
   // Builds the g-1 green-extension cells of row `i_row` past boundary `q`
@@ -326,7 +317,7 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
   const auto green_tail = [&](std::int64_t i_row, std::int64_t q,
                               std::array<double, kInlineTailCap>& buf)
       -> std::span<const double> {
-    const std::int64_t n_ext = growing ? 0 : g_ - 1;
+    const std::int64_t n_ext = g_ - 1;
     std::span<double> t;
     if (n_ext <= static_cast<std::int64_t>(kInlineTailCap)) {
       t = std::span<double>(buf.data(), static_cast<std::size_t>(n_ext));
@@ -340,8 +331,7 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
   };
 
   ScratchStack::Frame frame(thread_scratch());
-  std::span<double> mid =
-      frame.alloc(in.size() + (growing ? static_cast<std::size_t>(h) : 0));
+  std::span<double> mid = frame.alloc(in.size());
 
   // ---- first half: row i0 -> row i0 - h --------------------------------
   std::int64_t q_mid = jL - 1;
@@ -350,11 +340,11 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
   // inside the lattice (q <= g*i).
   const std::int64_t jC = std::min(conv_safe(q0, h), row_width(i0 - h));
   if (jC >= jL) {
-    // Shrinking cones read g-1 green cells past the red prefix, staged as
-    // the correlation's split tail; growing cones stay inside it.
+    // The cones read g-1 green cells past the red prefix, staged as the
+    // correlation's split tail.
     const std::span<const double> tail = green_tail(i0, q0, tail1_buf);
     std::int64_t q_strip = jL - 1;
-    const bool spawn = cfg_.parallel && h >= cfg_.task_cutoff;
+    const bool spawn = cfg_.parallel && h >= kTaskCutoff;
     const auto conv_part = [&] {
       run_conv(in, tail, h,
                mid.subspan(0, static_cast<std::size_t>(jC - jL + 1)));
@@ -377,7 +367,7 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
     // Window too narrow to convolve: recurse straight into `mid`.
     q_mid = solve(i0, jL, q0, h, in, mid);
   }
-  if (q_mid < jL && !growing) return jL - 1;  // all green below (Lemma 2.4)
+  if (q_mid < jL) return jL - 1;  // all green below (Lemma 2.4)
 
   // ---- second half: row i0 - h -> row i0 - L ---------------------------
   const std::int64_t im = i0 - h;
@@ -388,7 +378,7 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
   if (jC2 >= jL) {
     const std::span<const double> tail = green_tail(im, q_mid, tail2_buf);
     std::int64_t q_strip = jL - 1;
-    const bool spawn = cfg_.parallel && h2 >= cfg_.task_cutoff;
+    const bool spawn = cfg_.parallel && h2 >= kTaskCutoff;
     const auto conv_part = [&] {
       run_conv(mid_in, tail, h2,
                out.subspan(0, static_cast<std::size_t>(jC2 - jL + 1)));
@@ -411,7 +401,6 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
 
 LatticeRow LatticeSolver::descend(LatticeRow top, std::int64_t i_stop) {
   AMOPT_EXPECTS(i_stop >= 0 && top.i >= i_stop);
-  const bool growing = cfg_.drift == BoundaryDrift::growing;
   LatticeRow row = std::move(top);
   // Ping-pong row: `next`'s storage shuttles between descend() calls via
   // spare_red_, so a warm solver repeats a descent with zero allocations.
@@ -419,15 +408,10 @@ LatticeRow LatticeSolver::descend(LatticeRow top, std::int64_t i_stop) {
   next.red = std::move(spare_red_);
   while (row.i > i_stop) {
     if (row.q < 0) {
-      if (!growing) {
-        // Entirely green: stays green all the way down (Lemma 2.4 / A.2).
-        row.i = i_stop;
-        row.red.clear();
-        break;
-      }
-      step_naive_into(row, false, next);  // red can reappear; probe one row
-      std::swap(row, next);
-      continue;
+      // Entirely green: stays green all the way down (Lemma 2.4 / A.2).
+      row.i = i_stop;
+      row.red.clear();
+      break;
     }
     const std::int64_t L_red = std::max<std::int64_t>((row.q + 1) / g_, 1);
     const std::int64_t L = std::min(L_red, row.i - i_stop);
@@ -437,11 +421,9 @@ LatticeRow LatticeSolver::descend(LatticeRow top, std::int64_t i_stop) {
       continue;
     }
     next.i = row.i - L;
-    const std::size_t n =
-        row.red.size() + (growing ? static_cast<std::size_t>(L) : 0);
     // resize, not assign: solve() fills every cell up to the returned
     // boundary, so the old contents need no zeroing pass.
-    next.red.resize(n);
+    next.red.resize(row.red.size());
     // No parallel-region wrapper anymore: solve() forks its own pool tasks
     // at every level whose height clears the cutoff.
     next.q = solve(row.i, 0, row.q, L, row.red, next.red);

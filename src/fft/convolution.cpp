@@ -383,21 +383,6 @@ void convolve_full(std::span<const double> a, const fft::RealSpectrum& bspec,
 }
 
 void convolve_many(std::span<const std::span<const double>> inputs,
-                   const fft::RealSpectrum& kspec,
-                   std::span<std::vector<double>> outs, Workspace& ws) {
-  AMOPT_EXPECTS(outs.size() == inputs.size());
-  AMOPT_EXPECTS(!kspec.empty() && !kspec.reversed);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (inputs[i].empty()) {
-      outs[i].clear();
-      continue;
-    }
-    outs[i].resize(inputs[i].size() + kspec.klen - 1);
-    real_convolve_spec_into(inputs[i], {}, kspec, /*skip=*/0, outs[i], ws);
-  }
-}
-
-void convolve_many(std::span<const std::span<const double>> inputs,
                    std::span<const double> kernel,
                    std::span<std::vector<double>> outs, Workspace& ws,
                    Policy policy) {

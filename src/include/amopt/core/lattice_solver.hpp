@@ -17,7 +17,7 @@
 //   2. the O(g*h)-wide strip around the boundary -> recursion;
 //   3. repeat both for the second half. Base case: naive loop with `max`,
 //      which *discovers* the boundary location.
-// Work O(L log^2 L), span O(L); the conv and the strip run as OpenMP tasks.
+// Work O(L log^2 L), span O(L); the conv and the strip run as pool tasks.
 //
 // Boundary-motion caveat (see DESIGN.md): the <=1-cell-per-step guarantee is
 // proved from row T-2 downward, so pricers naive-step the first two rows
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "amopt/core/scratch.hpp"
-#include "amopt/fft/convolution.hpp"
 #include "amopt/stencil/kernel_cache.hpp"
 #include "amopt/stencil/linear_stencil.hpp"
 
@@ -54,19 +53,13 @@ struct LatticeRow {
   std::vector<double> red;
 };
 
-/// Direction the red/green boundary moves as the backward induction walks
-/// DOWN the lattice (decreasing i):
-///  * shrinking — the call case (Corollary 2.7): q_i in [q_{i+1}-1, q_{i+1}];
-///  * growing   — the mirrored-put case (library extension, validated
-///    empirically in tests): q_i in [q_{i+1}, q_{i+1}+1].
-enum class BoundaryDrift { shrinking, growing };
+/// Minimum trapezoid half-height at which the lattice and FDM solvers fork
+/// the correlation and the boundary strip as two pool tasks.
+inline constexpr std::int64_t kTaskCutoff = 512;
 
 struct SolverConfig {
-  int base_case = 8;               ///< trapezoid height switch to naive
-  std::int64_t task_cutoff = 512;  ///< min height to spawn OpenMP tasks
-  bool parallel = true;
-  BoundaryDrift drift = BoundaryDrift::shrinking;
-  conv::Policy conv_policy{};
+  int base_case = 8;     ///< trapezoid height switch to naive
+  bool parallel = true;  ///< fork trapezoid halves >= kTaskCutoff as tasks
   /// Accuracy knobs of the pricing::Engine::boundary (ALO) engine — the
   /// lattice/FDM solvers ignore them. Defaults are the "accurate" preset
   /// (~1e-8 relative price error, DESIGN.md §6); sessions key their cached
@@ -102,8 +95,8 @@ class LatticeSolver {
   /// new boundary. Used for the rows adjacent to expiry and as the
   /// trapezoid base case. `unbounded_scan` evaluates every cell of the new
   /// row instead of trusting the one-cell boundary-motion bound — required
-  /// for the first step off the expiry row in growing mode, where the
-  /// discrete boundary jumps (see DESIGN.md).
+  /// for the first two steps off the expiry row, where the discrete
+  /// boundary can jump right when R > Y (see DESIGN.md).
   [[nodiscard]] LatticeRow step_naive(const LatticeRow& row,
                                       bool unbounded_scan = false) const;
 

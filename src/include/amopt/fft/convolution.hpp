@@ -194,12 +194,6 @@ void correlate_valid(std::span<const double> in,
 void convolve_full(std::span<const double> a, const fft::RealSpectrum& bspec,
                    std::span<double> out, Workspace& ws);
 
-/// `convolve_many` against a precomputed kernel spectrum (reversed = false;
-/// kspec.n must cover the largest item's full linear length).
-void convolve_many(std::span<const std::span<const double>> inputs,
-                   const fft::RealSpectrum& kspec,
-                   std::span<std::vector<double>> outs, Workspace& ws);
-
 /// Batched full convolutions against one shared kernel: outs[i] receives
 /// inputs[i] (*) kernel, resized to inputs[i].size()+kernel.size()-1. On the
 /// FFT path the kernel is transformed ONCE at the padded size of the largest

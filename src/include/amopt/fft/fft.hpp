@@ -73,7 +73,7 @@ class Plan {
 /// A first-class, reusable R2C spectrum: the n/2+1 non-redundant bins of one
 /// real signal zero-padded to a transform size n. This is the currency of
 /// the spectral convolution overloads (conv::correlate_valid /
-/// convolve_full / convolve_many with a precomputed kernel spectrum) and of
+/// convolve_full with a precomputed kernel spectrum) and of
 /// the stencil::KernelCache spectrum tier — transform a kernel once, reuse
 /// its bins for every convolution at that padded size. Bins live in 64-byte
 /// aligned storage so the dispatched spectrum products take their fast path.

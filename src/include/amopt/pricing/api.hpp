@@ -80,8 +80,9 @@ namespace detail {
 
 /// Stencil of the kernel cache an item of a (model, right, style, fft)
 /// chain can share; empty taps when the combination has no cache-aware
-/// path. Must mirror the stencils the pricers build internally (the
-/// mirrored put swaps its taps; the BSM FDM stencil is centered, left=-1).
+/// path. Must match the stencils the pricers build internally (the BOPM
+/// American put's is the swapped call's, see bopm::american_put_fft; the
+/// BSM FDM stencil is centered, left=-1).
 [[nodiscard]] stencil::LinearStencil shared_cache_stencil(
     const OptionSpec& spec, std::int64_t T, Model model, Right right,
     Style style, Engine engine);

@@ -54,43 +54,17 @@ class CallGreen final : public core::LatticeGreen {
 /// Direct Θ(T^2) rollback on the put payoff (oracle).
 [[nodiscard]] double american_put_vanilla(const OptionSpec& spec,
                                           std::int64_t T);
-/// Fast put via McDonald–Schroder put-call symmetry:
-/// P(S, K, R, Y) = C(K, S, Y, R). The symmetry is exact on the CRR lattice
+/// Fast put via McDonald–Schroder put-call symmetry: the American call of
+/// `symmetric_call_spec(spec)`. The symmetry is exact on the CRR lattice
 /// (the numeraire change maps path weights one-to-one), so this agrees with
-/// the direct rollback to rounding error; `american_put_fft_direct` below
-/// prices the put on its own lattice without the swap.
+/// `american_put_vanilla` to rounding error, and the put descends the
+/// call's lattice — the one boundary direction the paper's trapezoid
+/// descent is proved for. `kernels` may be null and must otherwise be built
+/// from stencil {{s0, s1}, 0} of derive_bopm of the SWAPPED spec (which the
+/// strike does not enter, so one cache serves a whole put ladder).
 [[nodiscard]] double american_put_fft(const OptionSpec& spec, std::int64_t T,
-                                      core::SolverConfig cfg = {});
-
-/// Direct fast put on the mirrored lattice (an extension beyond the paper,
-/// which treats calls only): reflecting j -> i - j maps the put grid onto a
-/// left-red/right-green lattice with the taps swapped, and the put's
-/// exercise region (low prices) becomes the green suffix. Agrees with
-/// `american_put_vanilla` to FFT rounding at every T.
-[[nodiscard]] double american_put_fft_direct(const OptionSpec& spec,
-                                             std::int64_t T,
-                                             core::SolverConfig cfg = {});
-/// Shared-cache variant; `kernels` must be built from the MIRRORED stencil
-/// {{s1, s0}, 0} (the put lattice swaps the up/down taps).
-[[nodiscard]] double american_put_fft_direct(const OptionSpec& spec,
-                                             std::int64_t T,
-                                             core::SolverConfig cfg,
-                                             stencil::KernelCache* kernels);
-
-/// Exercise-value oracle of the mirrored put lattice:
-/// value(i, j) = K - S * u^(i-2j).
-class MirroredPutGreen final : public core::LatticeGreen {
- public:
-  MirroredPutGreen(const OptionSpec& spec, const BopmParams& prm)
-      : up_(prm.log_u, prm.T), S_(spec.S), K_(spec.K) {}
-  [[nodiscard]] double value(std::int64_t i, std::int64_t j) const override {
-    return K_ - S_ * up_(i - 2 * j);
-  }
-
- private:
-  PowerTable up_;
-  double S_, K_;
-};
+                                      core::SolverConfig cfg = {},
+                                      stencil::KernelCache* kernels = nullptr);
 
 // --- European (the linear special case; the paper's "simpler" problem) ---
 

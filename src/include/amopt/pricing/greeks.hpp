@@ -47,11 +47,9 @@ using RepriceFn = std::function<double(const OptionSpec&)>;
                                               std::int64_t T,
                                               core::SolverConfig cfg = {});
 
-/// Session variant: every evaluation goes through `reprice` (nullable).
-/// Note the default path prices via put-call symmetry while a session
-/// reprices with the direct mirrored-lattice pricer (what `price()` uses
-/// for bopm/put/fft); the two agree to FFT rounding, so finite-difference
-/// greeks agree to the usual cancellation noise.
+/// Session variant: every evaluation goes through `reprice` (nullable). A
+/// session reprices with the same put-call-symmetry pricer `price()` uses
+/// for bopm/put/fft, so its greeks are bit-identical to the default path's.
 [[nodiscard]] Greeks american_put_greeks_bopm(const OptionSpec& spec,
                                               std::int64_t T,
                                               core::SolverConfig cfg,

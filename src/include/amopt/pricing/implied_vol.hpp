@@ -32,7 +32,7 @@ struct ImpliedVolConfig {
 [[nodiscard]] ImpliedVolResult american_call_implied_vol(
     const OptionSpec& spec, double target_price, ImpliedVolConfig cfg = {});
 
-/// Same for the American put (direct mirrored-lattice pricer).
+/// Same for the American put (priced by put-call symmetry).
 [[nodiscard]] ImpliedVolResult american_put_implied_vol(
     const OptionSpec& spec, double target_price, ImpliedVolConfig cfg = {});
 

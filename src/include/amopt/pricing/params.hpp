@@ -19,6 +19,14 @@ struct OptionSpec {
   double expiry_years = 1.0;  ///< time to expiration E
 };
 
+/// McDonald–Schroder put-call symmetry, P(S, K, R, Y) = C(K, S, Y, R): the
+/// spec of the call whose price equals the put's. Exact on the binomial and
+/// trinomial lattices too (the swapped problem's lattice mirrors the
+/// original's), so the lattice puts price through their calls.
+[[nodiscard]] inline OptionSpec symmetric_call_spec(const OptionSpec& put) {
+  return {put.K, put.S, put.Y, put.V, put.R, put.expiry_years};
+}
+
 /// The fixed parameter set used throughout the paper's §5 experiments:
 /// E=252d, K=130, S=127.62, R=0.00163, V=0.2, Y=0.0163.
 [[nodiscard]] OptionSpec paper_spec();

@@ -57,8 +57,12 @@
 //    counter for this frame, 0 on the first try. Purely observability —
 //    the server counts attempt > 0 frames as `retries_observed`; it never
 //    changes pricing.
-//  * solver byte 130 (once the memory-plane selector) is reserved-zero;
-//    solver byte 131 (the conv path) accepts automatic/direct/fft (0-2).
+//  * solver bytes 120-127 (once the fork cutoff), 129 (once the boundary
+//    drift), 130 (once the memory-plane selector) and 131 (once the conv
+//    path) are reserved-zero. An older encoder's solver block carries the
+//    fork cutoff (512 unless its caller zeroed it), so it is rejected
+//    (`bad_reserved`) rather than misread; one with a zeroed cutoff and the
+//    default drift and conv path prices the same as before.
 //
 // Not on the wire: `PricingRequest::iv.T` is carried for exactness but the
 // session ignores it (the request's own T governs); `PricingResult::error`

@@ -96,7 +96,7 @@ double price_with_cache(const OptionSpec& spec, std::int64_t T, Model model,
       } else {
         switch (engine) {
           case Engine::fft:
-            return bopm::american_put_fft_direct(spec, T, cfg, kernels);
+            return bopm::american_put_fft(spec, T, cfg, kernels);
           case Engine::vanilla: return bopm::american_put_vanilla(spec, T);
           default: unsupported(model, right, style, engine);
         }
@@ -149,9 +149,12 @@ stencil::LinearStencil shared_cache_stencil(const OptionSpec& spec,
   if (engine != Engine::fft || T <= 0) return {};
   switch (model) {
     case Model::bopm: {
-      const BopmParams prm = derive_bopm(spec, T);
-      if (right == Right::put && style == Style::american)
-        return {{prm.s1, prm.s0}, 0};  // mirrored lattice
+      // The American put descends the call lattice of the swapped spec.
+      const BopmParams prm =
+          derive_bopm(right == Right::put && style == Style::american
+                          ? symmetric_call_spec(spec)
+                          : spec,
+                      T);
       return {{prm.s0, prm.s1}, 0};
     }
     case Model::topm: {

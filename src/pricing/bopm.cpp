@@ -1,13 +1,11 @@
 #include "amopt/pricing/bopm.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <vector>
 
 #include "amopt/common/assert.hpp"
 #include "amopt/common/parallel.hpp"
-#include "amopt/fft/convolution.hpp"
 #include "amopt/metrics/counters.hpp"
 #include "amopt/poly/poly_power.hpp"
 
@@ -158,63 +156,9 @@ double american_put_vanilla(const OptionSpec& spec, std::int64_t T) {
 }
 
 double american_put_fft(const OptionSpec& spec, std::int64_t T,
-                        core::SolverConfig cfg) {
-  // McDonald-Schroder symmetry: P(S, K, R, Y) = C(K, S, Y, R) with the same
-  // volatility and expiry (exact on the CRR lattice as well: the lattice of
-  // the swapped problem mirrors the original one).
-  OptionSpec swapped = spec;
-  std::swap(swapped.S, swapped.K);
-  std::swap(swapped.R, swapped.Y);
-  return american_call_fft(swapped, T, cfg);
-}
-
-double american_put_fft_direct(const OptionSpec& spec, std::int64_t T,
-                               core::SolverConfig cfg,
-                               stencil::KernelCache* kernels) {
-  if (T == 0) return std::max(0.0, spec.K - spec.S);
-  // With R <= 0 early exercise of a put is never optimal (holding the
-  // discounted strike cannot lose); the price is the European one. (The
-  // shared cache holds MIRRORED taps, which the European path cannot use.)
-  if (spec.R <= 0.0 && spec.Y >= 0.0) return european_put_fft(spec, T);
-
-  const BopmParams prm = derive_bopm(spec, T);
-  const MirroredPutGreen green(spec, prm);
-  // Mirrored children: j' = i - j swaps the up/down taps. The put's
-  // boundary GROWS rightward walking down the lattice (the exercise region
-  // shrinks backward in time), so the solver runs in growing mode.
-  cfg.drift = core::BoundaryDrift::growing;
-  core::LatticeSolver solver(kernels, {{prm.s1, prm.s0}, 0}, green, cfg);
-
-  core::LatticeRow row;
-  row.i = T;
-  {  // expiry boundary: last j with K - S*u^(T-2j) <= 0; increasing in j.
-    if (green.value(T, 0) > 0.0) {
-      row.q = -1;
-    } else if (green.value(T, T) <= 0.0) {
-      row.q = T;
-    } else {
-      std::int64_t lo = 0, hi = T;
-      while (hi - lo > 1) {
-        const std::int64_t mid = lo + (hi - lo) / 2;
-        (green.value(T, mid) <= 0.0 ? lo : hi) = mid;
-      }
-      row.q = lo;
-    }
-  }
-  row.red.assign(static_cast<std::size_t>(std::max<std::int64_t>(row.q + 1, 0)),
-                 0.0);
-  // The discrete boundary jumps right on the first step off the expiry row
-  // (the same artifact as the call's, mirrored); scan the first two rows in
-  // full before trusting the one-cell motion bound.
-  while (row.i > std::max<std::int64_t>(T - 2, 0))
-    row = solver.step_naive(row, /*unbounded_scan=*/true);
-  row = solver.descend(std::move(row), 0);
-  return row.q >= 0 ? row.red[0] : green.value(0, 0);
-}
-
-double american_put_fft_direct(const OptionSpec& spec, std::int64_t T,
-                               core::SolverConfig cfg) {
-  return american_put_fft_direct(spec, T, cfg, nullptr);
+                        core::SolverConfig cfg,
+                        stencil::KernelCache* kernels) {
+  return american_call_fft(symmetric_call_spec(spec), T, cfg, kernels);
 }
 
 double european_call_vanilla(const OptionSpec& spec, std::int64_t T) {
@@ -309,35 +253,8 @@ LowNodes american_call_nodes_fft(const OptionSpec& spec, std::int64_t T,
     for (std::int64_t j = 0; j <= T; ++j)
       payoff[static_cast<std::size_t>(j)] = payoff_expiry(green, T, j);
 
-    if (cfg.conv_policy.path == conv::Policy::Path::fft) {
-      // Batched spectral route: all three rows correlate against the SAME
-      // payoff row, so its spectrum is transformed once and shared via the
-      // convolve_many spectral overload — using
-      //   corr(payoff, K)[j] = conv(reverse(payoff), K)[T - j].
-      // Engaged only when the caller pins the FFT path: with just six
-      // output nodes the direct dot products are O(T) total, cheaper than
-      // any transform, so `automatic` keeps them.
-      conv::Workspace& ws = conv::thread_workspace();
-      std::vector<double> rev(payoff.rbegin(), payoff.rend());
-      const std::size_t n =
-          next_pow2(static_cast<std::size_t>(2 * T + 1));
-      const fft::RealSpectrum pspec =
-          conv::kernel_spectrum(rev, n, /*reversed=*/false, ws);
-      const std::array<std::span<const double>, 3> inputs{kT, kT1, kT2};
-      std::array<std::vector<double>, 3> outs;
-      conv::convolve_many(inputs, pspec, outs, ws);
-      const auto node = [&](std::size_t row, std::int64_t j) {
-        return outs[row][static_cast<std::size_t>(T - j)];
-      };
-      nodes.g00 = node(0, 0);
-      nodes.g10 = node(1, 0);
-      nodes.g11 = node(1, 1);
-      nodes.g20 = node(2, 0);
-      nodes.g21 = node(2, 1);
-      nodes.g22 = node(2, 2);
-      return nodes;
-    }
-
+    // Six output nodes: direct dot products, O(T) in total, beat any
+    // transform.
     const auto node_value = [&](std::span<const double> kernel,
                                 std::int64_t j) {
       double acc = 0.0;

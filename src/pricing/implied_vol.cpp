@@ -143,7 +143,7 @@ ImpliedVolResult american_put_implied_vol(const OptionSpec& spec,
       [&](double v) {
         OptionSpec s = spec;
         s.V = v;
-        return bopm::american_put_fft_direct(s, cfg.T);
+        return bopm::american_put_fft(s, cfg.T);
       },
       target_price, cfg);
 }

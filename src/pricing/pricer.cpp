@@ -173,10 +173,7 @@ namespace {
                                static_cast<std::int64_t>(req.style),
                                static_cast<std::int64_t>(req.engine),
                                static_cast<std::int64_t>(cfg.base_case),
-                               cfg.task_cutoff,
                                static_cast<std::int64_t>(cfg.parallel),
-                               static_cast<std::int64_t>(cfg.drift),
-                               static_cast<std::int64_t>(cfg.conv_policy.path),
                                static_cast<std::int64_t>(cfg.alo_nodes),
                                static_cast<std::int64_t>(cfg.alo_quad),
                                static_cast<std::int64_t>(cfg.alo_iterations)};
@@ -294,6 +291,10 @@ namespace {
                                    : "amopt: invalid step count T (need T >= 0)";
   if ((compute & Compute::greeks) != 0u && req.T < 2)
     return "amopt: greeks need T >= 2";
+  // A solver override travels with the request (and over the wire); the
+  // solvers enforce base_case >= 1 with an aborting contract check too.
+  if (req.solver.has_value() && req.solver->base_case < 1)
+    return "amopt: invalid solver base_case (need >= 1)";
   if ((compute & Compute::implied_vol) != 0u) {
     if (req.T < 1) return "amopt: implied vol needs T >= 1";
     if (!std::isfinite(req.target_price))
@@ -403,10 +404,7 @@ namespace {
                                static_cast<std::int64_t>(req.style),
                                static_cast<std::int64_t>(req.engine),
                                static_cast<std::int64_t>(cfg.base_case),
-                               cfg.task_cutoff,
                                static_cast<std::int64_t>(cfg.parallel),
-                               static_cast<std::int64_t>(cfg.drift),
-                               static_cast<std::int64_t>(cfg.conv_policy.path),
                                static_cast<std::int64_t>(cfg.alo_nodes),
                                static_cast<std::int64_t>(cfg.alo_quad),
                                static_cast<std::int64_t>(cfg.alo_iterations)};

@@ -134,10 +134,7 @@ double american_put_vanilla(const OptionSpec& spec, std::int64_t T) {
 
 double american_put_fft(const OptionSpec& spec, std::int64_t T,
                         core::SolverConfig cfg) {
-  OptionSpec swapped = spec;
-  std::swap(swapped.S, swapped.K);
-  std::swap(swapped.R, swapped.Y);
-  return american_call_fft(swapped, T, cfg);
+  return american_call_fft(symmetric_call_spec(spec), T, cfg);
 }
 
 double european_call_vanilla(const OptionSpec& spec, std::int64_t T) {

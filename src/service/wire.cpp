@@ -36,8 +36,6 @@ static_assert(static_cast<int>(pricing::Style::european) == 1);
 static_assert(static_cast<int>(pricing::Engine::boundary) == 6);
 static_assert(static_cast<int>(pricing::Status::overloaded) == 4);
 static_assert(static_cast<int>(pricing::Status::deadline_exceeded) == 5);
-static_assert(static_cast<int>(core::BoundaryDrift::growing) == 1);
-static_assert(static_cast<int>(conv::Policy::Path::fft) == 2);
 
 // ---------------------------------------------------------------- raw I/O
 // All accessors go through memcpy (defined for any alignment, no aliasing
@@ -108,8 +106,8 @@ void put_header(std::byte* p, Kind kind, std::uint8_t attempt,
 //  104  i64      iv.T (carried for exactness; the session ignores it)
 //  112  [32]     solver override, all-zero when has_solver == 0:
 //       112 i32  base_case        116 i32 alo_nodes
-//       120 i64  task_cutoff
-//       128 u8x4 parallel, drift, reserved (0), conv_path
+//       120 u64  reserved (0)
+//       128 u8   parallel         129 u8x3 reserved (0)
 //       132 i32  alo_quad         136 i32 alo_iterations
 //       140 u32  reserved (0)
 //  144  u64      deadline_us (written by the frame encoder)
@@ -136,20 +134,14 @@ void put_request(std::byte* p, const PricingRequest& q) {
   store_i32(p + 96, q.iv.max_iterations);
   store_le<std::uint32_t>(p + 100, 0);
   store_i64(p + 104, q.iv.T);
+  std::memset(p + 112, 0, 32);  // reserved bytes, and an absent override
   if (q.solver.has_value()) {
     const core::SolverConfig& c = *q.solver;
     store_i32(p + 112, c.base_case);
     store_i32(p + 116, c.alo_nodes);
-    store_i64(p + 120, c.task_cutoff);
     p[128] = static_cast<std::byte>(c.parallel ? 1 : 0);
-    p[129] = static_cast<std::byte>(c.drift);
-    p[130] = std::byte{0};
-    p[131] = static_cast<std::byte>(c.conv_policy.path);
     store_i32(p + 132, c.alo_quad);
     store_i32(p + 136, c.alo_iterations);
-    store_le<std::uint32_t>(p + 140, 0);
-  } else {
-    std::memset(p + 112, 0, 32);
   }
 }
 
@@ -185,17 +177,14 @@ constexpr std::size_t kDeadlineOffset = 144;
   q.iv.max_iterations = load_i32(p + 96);
   q.iv.T = load_i64(p + 104);
   if (u8(61) == 1) {
-    if (u8(129) > 1 || u8(131) > 2 || u8(128) > 1)
-      return DecodeError::bad_enum;
-    if (u8(130) != 0 || load_le<std::uint32_t>(p + 140) != 0)
+    if (u8(128) > 1) return DecodeError::bad_enum;
+    if (load_le<std::uint64_t>(p + 120) != 0 || u8(129) != 0 ||
+        u8(130) != 0 || u8(131) != 0 || load_le<std::uint32_t>(p + 140) != 0)
       return DecodeError::bad_reserved;
     core::SolverConfig c;
     c.base_case = load_i32(p + 112);
     c.alo_nodes = load_i32(p + 116);
-    c.task_cutoff = load_i64(p + 120);
     c.parallel = u8(128) != 0;
-    c.drift = static_cast<core::BoundaryDrift>(u8(129));
-    c.conv_policy.path = static_cast<conv::Policy::Path>(u8(131));
     c.alo_quad = load_i32(p + 132);
     c.alo_iterations = load_i32(p + 136);
     q.solver = c;

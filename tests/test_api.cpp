@@ -40,7 +40,7 @@ TEST(Api, PutAndOtherModels) {
   const OptionSpec spec = paper_spec();
   const std::int64_t T = 200;
   EXPECT_DOUBLE_EQ(price(spec, T, Model::bopm, Right::put),
-                   bopm::american_put_fft_direct(spec, T));
+                   bopm::american_put_fft(spec, T));
   EXPECT_DOUBLE_EQ(price(spec, T, Model::topm, Right::call),
                    topm::american_call_fft(spec, T));
   EXPECT_DOUBLE_EQ(price(spec, T, Model::bsm, Right::put),

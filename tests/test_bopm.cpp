@@ -44,11 +44,11 @@ TEST_P(BopmGrid, FftCallMatchesVanilla) {
   EXPECT_NEAR(f, v, 1e-8 * std::max(1.0, std::abs(v)));
 }
 
-TEST_P(BopmGrid, FftPutDirectMatchesVanilla) {
+TEST_P(BopmGrid, FftPutMatchesVanilla) {
   const GridCase c = GetParam();
   const OptionSpec spec = to_spec(c);
   const double v = bopm::american_put_vanilla(spec, c.T);
-  const double f = bopm::american_put_fft_direct(spec, c.T);
+  const double f = bopm::american_put_fft(spec, c.T);
   EXPECT_NEAR(f, v, 1e-8 * std::max(1.0, std::abs(v)));
 }
 
@@ -120,8 +120,12 @@ TEST(BopmAmerican, ZeroRatePutEqualsEuropean) {
   spec.R = 0.0;
   EXPECT_NEAR(bopm::american_put_vanilla(spec, 400),
               bopm::european_put_vanilla(spec, 400), 1e-10);
-  EXPECT_NEAR(bopm::american_put_fft_direct(spec, 400),
-              bopm::european_put_fft(spec, 400), 1e-12);
+  // With R = 0 the put's early-out is the swapped call's European path,
+  // which agrees with the put's own European rollback to rounding.
+  const double amer = bopm::american_put_fft(spec, 400);
+  EXPECT_EQ(amer, bopm::european_call_fft(symmetric_call_spec(spec), 400));
+  const double euro = bopm::european_put_fft(spec, 400);
+  EXPECT_NEAR(amer, euro, 1e-12 * euro);
 }
 
 TEST(BopmAmerican, DominatesEuropeanAndIntrinsic) {
@@ -187,64 +191,38 @@ TEST(BopmEdge, DeepItmWithHugeYieldIsImmediateExercise) {
 }
 
 TEST(BopmNodes, LowNodesMatchVanillaGrid) {
-  const OptionSpec spec = paper_spec();
-  const std::int64_t T = 64;
-  const auto nodes = bopm::american_call_nodes_fft(spec, T);
-  // Reference: full-grid rollback keeping rows 0..2.
-  const auto prm = derive_bopm(spec, T);
-  const PowerTable up(prm.log_u, T);
-  std::vector<double> row(static_cast<std::size_t>(T + 1));
-  for (std::int64_t j = 0; j <= T; ++j)
-    row[static_cast<std::size_t>(j)] =
-        std::max(0.0, spec.S * up(2 * j - T) - spec.K);
-  std::vector<double> r2, r1, r0;
-  for (std::int64_t i = T - 1; i >= 0; --i) {
-    for (std::int64_t j = 0; j <= i; ++j) {
-      const double lin = prm.s0 * row[static_cast<std::size_t>(j)] +
-                         prm.s1 * row[static_cast<std::size_t>(j + 1)];
+  // Y = 0 takes the European fast path (direct kernel-row dot products)
+  // instead of the lattice descent.
+  for (const double Y : {paper_spec().Y, 0.0}) {
+    OptionSpec spec = paper_spec();
+    spec.Y = Y;
+    const std::int64_t T = 64;
+    const auto nodes = bopm::american_call_nodes_fft(spec, T);
+    // Reference: full-grid rollback keeping rows 0..2.
+    const auto prm = derive_bopm(spec, T);
+    const PowerTable up(prm.log_u, T);
+    std::vector<double> row(static_cast<std::size_t>(T + 1));
+    for (std::int64_t j = 0; j <= T; ++j)
       row[static_cast<std::size_t>(j)] =
-          std::max(lin, spec.S * up(2 * j - i) - spec.K);
+          std::max(0.0, spec.S * up(2 * j - T) - spec.K);
+    std::vector<double> r2, r1, r0;
+    for (std::int64_t i = T - 1; i >= 0; --i) {
+      for (std::int64_t j = 0; j <= i; ++j) {
+        const double lin = prm.s0 * row[static_cast<std::size_t>(j)] +
+                           prm.s1 * row[static_cast<std::size_t>(j + 1)];
+        row[static_cast<std::size_t>(j)] =
+            std::max(lin, spec.S * up(2 * j - i) - spec.K);
+      }
+      if (i == 2) r2 = {row[0], row[1], row[2]};
+      if (i == 1) r1 = {row[0], row[1]};
+      if (i == 0) r0 = {row[0]};
     }
-    if (i == 2) r2 = {row[0], row[1], row[2]};
-    if (i == 1) r1 = {row[0], row[1]};
-    if (i == 0) r0 = {row[0]};
-  }
-  EXPECT_NEAR(nodes.g00, r0[0], 1e-9);
-  EXPECT_NEAR(nodes.g10, r1[0], 1e-9);
-  EXPECT_NEAR(nodes.g11, r1[1], 1e-9);
-  EXPECT_NEAR(nodes.g20, r2[0], 1e-9);
-  EXPECT_NEAR(nodes.g21, r2[1], 1e-9);
-  EXPECT_NEAR(nodes.g22, r2[2], 1e-9);
-}
-
-TEST(BopmNodes, EuropeanFastPathSpectralBatchMatchesDirectDots) {
-  // Y <= 0 makes the call European everywhere and the low nodes are three
-  // kernel-row correlations against one payoff row. Pinning the FFT policy
-  // routes them through the convolve_many spectral overload (one shared
-  // payoff spectrum); the default policy keeps the direct dot products.
-  // Same numbers up to FFT round-off.
-  pricing::OptionSpec spec = pricing::paper_spec();
-  spec.Y = 0.0;
-  for (const std::int64_t T : {64LL, 1024LL, 4096LL}) {
-    const auto direct = pricing::bopm::american_call_nodes_fft(spec, T);
-    core::SolverConfig cfg;
-    cfg.conv_policy.path = conv::Policy::Path::fft;
-    const auto spectral = pricing::bopm::american_call_nodes_fft(spec, T, cfg);
-    // FFT round-off scales with the LARGEST payoff cell entering the
-    // correlation (~S e^{V sqrt(expiry T)}), not with the node values.
-    const double maxpay =
-        spec.S * std::exp(spec.V * std::sqrt(spec.expiry_years *
-                                             static_cast<double>(T)));
-    const double tol = 1e-13 * maxpay + 1e-10;
-    EXPECT_NEAR(spectral.g00, direct.g00, tol) << "T=" << T;
-    EXPECT_NEAR(spectral.g10, direct.g10, tol);
-    EXPECT_NEAR(spectral.g11, direct.g11, tol);
-    EXPECT_NEAR(spectral.g20, direct.g20, tol);
-    EXPECT_NEAR(spectral.g21, direct.g21, tol);
-    EXPECT_NEAR(spectral.g22, direct.g22, tol);
-    // The fast path must agree with the one-shot pricer too.
-    EXPECT_NEAR(direct.g00, pricing::bopm::american_call_fft(spec, T),
-                1e-9 * std::max(1.0, direct.g00));
+    EXPECT_NEAR(nodes.g00, r0[0], 1e-9) << "Y=" << Y;
+    EXPECT_NEAR(nodes.g10, r1[0], 1e-9);
+    EXPECT_NEAR(nodes.g11, r1[1], 1e-9);
+    EXPECT_NEAR(nodes.g20, r2[0], 1e-9);
+    EXPECT_NEAR(nodes.g21, r2[1], 1e-9);
+    EXPECT_NEAR(nodes.g22, r2[2], 1e-9);
   }
 }
 

@@ -91,7 +91,7 @@ TEST(BsmAmerican, AgreesWithLatticeModels) {
   // explicit FDM must agree to discretization accuracy.
   const OptionSpec spec = paper_spec();
   const double fdm = bsm::american_put_fft(spec, 8192);
-  const double lattice = bopm::american_put_fft_direct(spec, 8192);
+  const double lattice = bopm::american_put_fft(spec, 8192);
   EXPECT_NEAR(fdm, lattice, 5e-3);
 }
 

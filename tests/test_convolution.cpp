@@ -178,24 +178,6 @@ TEST(Convolution, SpectralOverloadsMatchTimeDomainKernels) {
     for (std::size_t i = 0; i < full; ++i)
       ASSERT_EQ(got[i], want[i]) << "i=" << i;
   }
-  // convolve_many against a shared precomputed spectrum.
-  {
-    std::vector<std::vector<double>> storage;
-    for (std::size_t i = 0; i < 4; ++i)
-      storage.push_back(random_vec(200 + 100 * i, static_cast<unsigned>(90 + i)));
-    std::vector<std::span<const double>> inputs(storage.begin(), storage.end());
-    const auto kernel = random_vec(256, 95);
-    const std::size_t n = amopt::next_pow2(storage.back().size() + kernel.size() - 1);
-    const auto kspec = conv::kernel_spectrum(kernel, n, /*reversed=*/false, ws);
-    std::vector<std::vector<double>> got(4), want(4);
-    conv::convolve_many(inputs, kspec, got, ws);
-    conv::convolve_many(inputs, kernel, want, ws, {conv::Policy::Path::fft});
-    for (std::size_t i = 0; i < 4; ++i) {
-      ASSERT_EQ(got[i].size(), want[i].size());
-      for (std::size_t j = 0; j < got[i].size(); ++j)
-        ASSERT_EQ(got[i][j], want[i][j]) << "item " << i << " j=" << j;
-    }
-  }
 }
 
 TEST(Convolution, CorrelatePrefersFftMirrorsPolicyCrossover) {

@@ -59,7 +59,7 @@ using namespace amopt::pricing;
       q.engine = Engine::fft;
       // Invert a slightly-ticked true quote so Newton genuinely iterates.
       q.compute |= Compute::implied_vol;
-      q.target_price = bopm::american_put_fft_direct(q.spec, q.T) * 1.0003;
+      q.target_price = bopm::american_put_fft(q.spec, q.T) * 1.0003;
     }
     reqs.push_back(q);
   }

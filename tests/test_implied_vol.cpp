@@ -34,7 +34,7 @@ TEST_P(RoundTrip, PutRecoversTrueVolatility) {
   spec.V = true_vol;
   ImpliedVolConfig cfg;
   cfg.T = 2048;
-  const double target = bopm::american_put_fft_direct(spec, cfg.T);
+  const double target = bopm::american_put_fft(spec, cfg.T);
   const auto res = american_put_implied_vol(spec, target, cfg);
   ASSERT_TRUE(res.converged) << "vol=" << true_vol;
   EXPECT_NEAR(res.vol, true_vol, 1e-5);

@@ -153,21 +153,32 @@ TEST(Pricer, LegacyTZeroIntrinsicValueStillWorks) {
 }
 
 TEST(Pricer, InvalidSpecInChainBecomesPerItemErrorNotAbort) {
-  // derive_* enforce V > 0 etc. with aborting contract checks; the session
-  // must validate quotes at the boundary so a V=0 item reports
+  // derive_* enforce V > 0 etc. and the solvers base_case >= 1 with
+  // aborting contract checks; the session must validate requests at the
+  // boundary so a V=0 item or a base_case=0 solver override reports
   // Status::error while the rest of the chain prices.
-  std::vector<PricingRequest> reqs(2);
-  reqs[0].spec = paper_spec();
-  reqs[0].T = 128;
-  reqs[1].spec = paper_spec();
+  std::vector<PricingRequest> reqs(4);
+  for (PricingRequest& q : reqs) {
+    q.spec = paper_spec();
+    q.T = 128;
+  }
   reqs[1].spec.V = 0.0;
-  reqs[1].T = 128;
+  reqs[2].solver = core::SolverConfig{};
+  reqs[2].solver->base_case = 0;
+  reqs[3] = reqs[2];  // the BSM FDM solver carries the same contract
+  reqs[3].model = Model::bsm;
+  reqs[3].right = Right::put;
   Pricer session;
   std::vector<PricingResult> res;
   ASSERT_NO_THROW(res = session.price_many(reqs));
   EXPECT_EQ(res[0].status, Status::ok);
   EXPECT_EQ(res[1].status, Status::error);
   EXPECT_NE(res[1].message.find("invalid option spec"), std::string::npos);
+  for (int i : {2, 3}) {
+    EXPECT_EQ(res[i].status, Status::error) << i;
+    EXPECT_NE(res[i].message.find("base_case"), std::string::npos)
+        << "the diagnostic must name the bad field: " << res[i].message;
+  }
   // And the legacy wrapper surfaces it as invalid_argument, not an abort.
   EXPECT_THROW((void)price(reqs[1].spec, 128, Model::bopm, Right::call),
                std::invalid_argument);
@@ -271,27 +282,31 @@ TEST(Pricer, BadQuoteInChainFailsAloneNotTheBatch) {
 }
 
 TEST(Pricer, BsmChainSharesOneKernelCache) {
-  // PR-2 follow-up closed: the FDM solver now accepts an injected cache, so
-  // a BSM strike ladder (identical b, c, a taps) collapses to one group.
-  std::vector<PricingRequest> reqs;
-  for (double k : {110.0, 120.0, 130.0, 140.0}) {
-    PricingRequest q;
-    q.spec = paper_spec();
-    q.spec.K = k;
-    q.T = 256;
-    q.model = Model::bsm;
-    q.right = Right::put;
-    reqs.push_back(q);
-  }
-  Pricer session;
-  const std::vector<PricingResult> res = session.price_many(reqs);
-  const Pricer::Stats st = session.stats();
-  EXPECT_EQ(st.cache_misses, 1u);  // one tap group for the whole ladder
-  EXPECT_EQ(st.cache_hits, 3u);
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    ASSERT_EQ(res[i].status, Status::ok);
-    EXPECT_EQ(res[i].price,
-              price(reqs[i].spec, reqs[i].T, Model::bsm, Right::put));
+  // A put strike ladder collapses to one tap group: the BSM FDM solver
+  // takes an injected cache (identical b, c, a taps), and the BOPM put
+  // descends the swapped call's lattice, whose taps the strike does not
+  // enter either.
+  for (const Model model : {Model::bsm, Model::bopm}) {
+    std::vector<PricingRequest> reqs;
+    for (double k : {110.0, 120.0, 130.0, 140.0}) {
+      PricingRequest q;
+      q.spec = paper_spec();
+      q.spec.K = k;
+      q.T = 256;
+      q.model = model;
+      q.right = Right::put;
+      reqs.push_back(q);
+    }
+    Pricer session;
+    const std::vector<PricingResult> res = session.price_many(reqs);
+    const Pricer::Stats st = session.stats();
+    EXPECT_EQ(st.cache_misses, 1u) << to_string(model);
+    EXPECT_EQ(st.cache_hits, 3u) << to_string(model);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      ASSERT_EQ(res[i].status, Status::ok);
+      EXPECT_EQ(res[i].price,
+                price(reqs[i].spec, reqs[i].T, model, Right::put));
+    }
   }
 }
 
@@ -319,17 +334,17 @@ TEST(Pricer, GreeksManyMatchesFreeFunctions) {
   EXPECT_EQ(res[0].greeks.rho, c.rho);
   EXPECT_EQ(res[0].price, c.price);
 
-  // Put greeks: the session reprices with the direct mirrored-lattice put
-  // (what price() uses) while the free function goes through put-call
-  // symmetry; the two pricers agree to FFT rounding, so the
-  // finite-difference greeks agree to amplified cancellation noise.
+  // Put greeks: the session and the free function reprice through the
+  // same put-call-symmetry pricer, so every leg — and every greek — is
+  // bit-identical too.
   const Greeks p = american_put_greeks_bopm(paper_spec(), 512);
-  EXPECT_NEAR(res[1].greeks.price, p.price, 1e-8 * (1.0 + std::abs(p.price)));
-  EXPECT_NEAR(res[1].greeks.delta, p.delta, 1e-5);
-  EXPECT_NEAR(res[1].greeks.gamma, p.gamma, 1e-4);
-  EXPECT_NEAR(res[1].greeks.theta, p.theta, 1e-3);
-  EXPECT_NEAR(res[1].greeks.vega, p.vega, 1e-3 * (1.0 + std::abs(p.vega)));
-  EXPECT_NEAR(res[1].greeks.rho, p.rho, 1e-3 * (1.0 + std::abs(p.rho)));
+  EXPECT_EQ(res[1].greeks.price, p.price);
+  EXPECT_EQ(res[1].greeks.delta, p.delta);
+  EXPECT_EQ(res[1].greeks.gamma, p.gamma);
+  EXPECT_EQ(res[1].greeks.theta, p.theta);
+  EXPECT_EQ(res[1].greeks.vega, p.vega);
+  EXPECT_EQ(res[1].greeks.rho, p.rho);
+  EXPECT_EQ(res[1].price, p.price);
 }
 
 TEST(Pricer, ImpliedVolManyMatchesFreeInversionBitForBit) {
@@ -342,10 +357,10 @@ TEST(Pricer, ImpliedVolManyMatchesFreeInversionBitForBit) {
     q.spec = paper_spec();
     q.spec.K = k;
     q.T = T;
-    q.right = Right::put;  // rate-dominant put exercises the direct pricer
+    q.right = Right::put;  // rate-dominant put: early exercise matters
     q.spec.R = 0.05;
     q.spec.Y = 0.0;
-    q.target_price = bopm::american_put_fft_direct(q.spec, T);
+    q.target_price = bopm::american_put_fft(q.spec, T);
     reqs.push_back(q);
   }
   Pricer session;

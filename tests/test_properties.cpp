@@ -37,7 +37,7 @@ TEST_P(PropertySweep, AmericanDominatesEuropean) {
   const std::int64_t T = 512;
   EXPECT_GE(bopm::american_call_fft(s, T),
             bopm::european_call_fft(s, T) - 1e-9);
-  EXPECT_GE(bopm::american_put_fft_direct(s, T),
+  EXPECT_GE(bopm::american_put_fft(s, T),
             bopm::european_put_fft(s, T) - 1e-9);
 }
 
@@ -45,7 +45,7 @@ TEST_P(PropertySweep, AmericanDominatesIntrinsic) {
   const OptionSpec s = to_spec(GetParam());
   const std::int64_t T = 512;
   EXPECT_GE(bopm::american_call_fft(s, T), std::max(0.0, s.S - s.K) - 1e-9);
-  EXPECT_GE(bopm::american_put_fft_direct(s, T),
+  EXPECT_GE(bopm::american_put_fft(s, T),
             std::max(0.0, s.K - s.S) - 1e-9);
 }
 
@@ -55,7 +55,7 @@ TEST_P(PropertySweep, PriceBounds) {
   const double c = bopm::american_call_fft(s, T);
   EXPECT_GE(c, 0.0);
   EXPECT_LE(c, s.S + 1e-9);
-  const double p = bopm::american_put_fft_direct(s, T);
+  const double p = bopm::american_put_fft(s, T);
   EXPECT_GE(p, 0.0);
   EXPECT_LE(p, s.K + 1e-9);
 }
@@ -107,7 +107,7 @@ TEST_P(StrikeMonotonicity, CallDecreasesPutIncreasesInStrike) {
   for (double K : {90.0, 110.0, 130.0, 150.0}) {
     s.K = K;
     const double c = bopm::american_call_fft(s, 256);
-    const double p = bopm::american_put_fft_direct(s, 256);
+    const double p = bopm::american_put_fft(s, 256);
     EXPECT_LT(c, prev_call) << "K=" << K;
     EXPECT_GT(p, prev_put) << "K=" << K;
     prev_call = c;

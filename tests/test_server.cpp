@@ -243,9 +243,16 @@ TEST(Server, ServesTheFramedProtocolOverLoopback) {
   auto [client, daemon] = loopback_pair();
   std::thread conn([&server, t = daemon.get()] { server.serve(*t); });
 
-  const std::vector<PricingRequest> reqs = mixed_batch();
+  std::vector<PricingRequest> reqs = mixed_batch();
+  // A solver override the solvers would abort on: a per-item error reply,
+  // not a dead daemon.
+  PricingRequest bad_solver = reqs.front();
+  bad_solver.solver = core::SolverConfig{};
+  bad_solver.solver->base_case = 0;
+  reqs.push_back(bad_solver);
   Pricer direct;
   const std::vector<PricingResult> want = direct.price_many(reqs);
+  ASSERT_EQ(want.back().status, Status::error);
 
   // Two round trips on one connection; the second frame is delivered in
   // two chunks to exercise stream reassembly.
@@ -268,6 +275,8 @@ TEST(Server, ServesTheFramedProtocolOverLoopback) {
       EXPECT_EQ(got[i].status, want[i].status);
       EXPECT_EQ(bits(got[i].price), bits(want[i].price));
     }
+    EXPECT_EQ(got.back().status, Status::error);
+    EXPECT_NE(got.back().message.find("base_case"), std::string::npos);
   }
 
   client->close();

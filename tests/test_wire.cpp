@@ -58,10 +58,7 @@ void expect_bitwise_equal(const PricingRequest& a, const PricingRequest& b) {
   ASSERT_EQ(a.solver.has_value(), b.solver.has_value());
   if (a.solver.has_value()) {
     EXPECT_EQ(a.solver->base_case, b.solver->base_case);
-    EXPECT_EQ(a.solver->task_cutoff, b.solver->task_cutoff);
     EXPECT_EQ(a.solver->parallel, b.solver->parallel);
-    EXPECT_EQ(a.solver->drift, b.solver->drift);
-    EXPECT_EQ(a.solver->conv_policy.path, b.solver->conv_policy.path);
     EXPECT_EQ(a.solver->alo_nodes, b.solver->alo_nodes);
     EXPECT_EQ(a.solver->alo_quad, b.solver->alo_quad);
     EXPECT_EQ(a.solver->alo_iterations, b.solver->alo_iterations);
@@ -120,11 +117,7 @@ void expect_bitwise_equal(const PricingResult& a, const PricingResult& b) {
           if (i % 2 == 0) {
             core::SolverConfig c;
             c.base_case = 4 + i % 8;
-            c.task_cutoff = 256 + i;
             c.parallel = i % 4 == 0;
-            c.drift = i % 4 < 2 ? core::BoundaryDrift::shrinking
-                                : core::BoundaryDrift::growing;
-            c.conv_policy.path = static_cast<conv::Policy::Path>(i % 3);
             c.alo_nodes = 13 + i % 12;
             c.alo_quad = 25 + i % 40;
             c.alo_iterations = 8 + i % 24;
@@ -307,8 +300,8 @@ TEST(Wire, RecordCorruptionIsRejected) {
               wire::DecodeError::bad_reserved);
   }
   {  // a solver block selecting a retired option is rejected, never
-     // misread: byte 130 (the retired memory plane) is reserved-zero, and
-     // conv path 3 (the retired packed pipeline) is out of range
+     // misread: the retired fork cutoff (bytes 120-127), boundary drift
+     // (129), memory plane (130) and conv path (131) are reserved-zero
     PricingRequest with_solver;
     with_solver.solver = core::SolverConfig{};
     std::vector<std::byte> solver_frame;
@@ -316,14 +309,13 @@ TEST(Wire, RecordCorruptionIsRejected) {
                                   solver_frame);
     ASSERT_EQ(wire::decode_request_batch(solver_frame, out, consumed),
               wire::DecodeError::ok);
-    std::vector<std::byte> bad = solver_frame;
-    bad[wire::kHeaderBytes + 130] = static_cast<std::byte>(1);
-    EXPECT_EQ(wire::decode_request_batch(bad, out, consumed),
-              wire::DecodeError::bad_reserved);
-    bad = solver_frame;
-    bad[wire::kHeaderBytes + 131] = static_cast<std::byte>(3);
-    EXPECT_EQ(wire::decode_request_batch(bad, out, consumed),
-              wire::DecodeError::bad_enum);
+    for (const std::size_t off : {120u, 127u, 129u, 130u, 131u}) {
+      std::vector<std::byte> bad = solver_frame;
+      bad[wire::kHeaderBytes + off] = static_cast<std::byte>(1);
+      EXPECT_EQ(wire::decode_request_batch(bad, out, consumed),
+                wire::DecodeError::bad_reserved)
+          << "solver byte " << off;
+    }
   }
   {  // status byte past deadline_exceeded
     std::vector<PricingResult> results(1);
