@@ -32,7 +32,6 @@ struct Block {
   explicit Block(std::size_t n) : data(n) {}
   aligned_vector<double> data;
   Block* next = nullptr;  ///< free-list / lease-chain link
-  bool keep = false;      ///< trim() scratch mark
 };
 
 int ScratchStack::size_class(std::size_t pow2_doubles) noexcept {
@@ -108,43 +107,6 @@ void ScratchStack::release(Block* chain) noexcept {
 
 std::size_t ScratchStack::capacity() const noexcept {
   return capacity_.load(std::memory_order_relaxed);
-}
-
-bool ScratchStack::trim(std::size_t retain_bytes) noexcept {
-  if (frames_ != 0) return false;  // mid-descent: stay grow-only
-  // Greedily keep the largest free blocks that fit the budget (largest
-  // first: fewer, bigger blocks serve more shapes than many small ones).
-  std::size_t budget = retain_bytes / sizeof(double);
-  for (int c = kNumClasses - 1; c >= 0; --c)
-    for (Block* b = free_[c]; b != nullptr; b = b->next)
-      b->keep = false;
-  for (;;) {
-    Block* best = nullptr;
-    for (int c = kNumClasses - 1; c >= 0; --c)
-      for (Block* b = free_[c]; b != nullptr; b = b->next)
-        if (!b->keep && b->data.size() <= budget &&
-            (best == nullptr || b->data.size() > best->data.size()))
-          best = b;
-    if (best == nullptr) break;
-    best->keep = true;
-    budget -= best->data.size();
-  }
-  const std::size_t before = blocks_.size();
-  std::erase_if(blocks_, [](const std::unique_ptr<Block>& b) {
-    return !b->keep;
-  });
-  if (blocks_.size() == before) return false;
-  std::fill(std::begin(free_), std::end(free_), nullptr);
-  std::size_t doubles = 0;
-  for (const auto& b : blocks_) {
-    b->keep = false;
-    const int c = size_class(b->data.size());
-    b->next = free_[c];
-    free_[c] = b.get();
-    doubles += b->data.size();
-  }
-  capacity_.store(doubles, std::memory_order_relaxed);
-  return true;
 }
 
 ScratchStack& thread_scratch() {

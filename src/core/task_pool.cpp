@@ -22,7 +22,6 @@ struct TaskPool::Worker {
   TaskPool* pool;
   int index;
   Ring deque;
-  std::uint64_t bcast_seen = 0;
   std::thread thread;  ///< started last, joined by ~TaskPool
 };
 
@@ -235,27 +234,14 @@ void TaskPool::worker_main(Worker* w) {
   tls_worker = w;
   std::uint64_t idle_spins = 0;
   while (!stop_.load(std::memory_order_seq_cst)) {
-    // Broadcast check (run_on_workers).
-    const std::uint64_t gen = bcast_gen_.load(std::memory_order_acquire);
-    if (gen != w->bcast_seen) {
-      w->bcast_seen = gen;
-      if (w->index < bcast_limit_.load(std::memory_order_acquire)) {
-        bcast_fn_(bcast_arg_);
-        bcast_remaining_.fetch_sub(1, std::memory_order_release);
-      } else {
-        bcast_remaining_.fetch_sub(1, std::memory_order_release);
-      }
-      continue;
-    }
     if (w->index >= active_workers()) {
-      // Parked: beyond the current width. Sleep until reconfigured,
-      // stopped, or broadcast to. Does not register in sleepers_ — the
-      // events it waits for all notify unconditionally.
+      // Parked: beyond the current width. Sleep until reconfigured or
+      // stopped. Does not register in sleepers_ — both events notify
+      // unconditionally.
       std::unique_lock<std::mutex> lk(sleep_mu_);
       sleep_cv_.wait(lk, [&] {
         return stop_.load(std::memory_order_seq_cst) ||
-               w->index < active_workers() ||
-               bcast_gen_.load(std::memory_order_acquire) != w->bcast_seen;
+               w->index < active_workers();
       });
       continue;
     }
@@ -276,33 +262,11 @@ void TaskPool::worker_main(Worker* w) {
     sleep_cv_.wait(lk, [&] {
       return stop_.load(std::memory_order_seq_cst) ||
              ready_.load(std::memory_order_seq_cst) > 0 ||
-             w->index >= active_workers() ||
-             bcast_gen_.load(std::memory_order_acquire) != w->bcast_seen;
+             w->index >= active_workers();
     });
     sleepers_.fetch_sub(1, std::memory_order_seq_cst);
   }
   tls_worker = nullptr;
-}
-
-// ---------------------------------------------------------------------------
-// Broadcast
-
-void TaskPool::run_on_workers(void (*fn)(void*), void* arg) {
-  std::lock_guard<std::mutex> lk(bcast_mu_);
-  std::lock_guard<std::mutex> slk(spawn_mu_);
-  const int n = spawned_.load(std::memory_order_acquire);
-  if (n == 0) return;
-  bcast_fn_ = fn;
-  bcast_arg_ = arg;
-  bcast_limit_.store(active_workers(), std::memory_order_release);
-  bcast_remaining_.store(n, std::memory_order_release);
-  bcast_gen_.fetch_add(1, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> wlk(sleep_mu_);
-    sleep_cv_.notify_all();
-  }
-  while (bcast_remaining_.load(std::memory_order_acquire) > 0)
-    std::this_thread::yield();
 }
 
 }  // namespace amopt::core

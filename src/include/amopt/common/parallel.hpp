@@ -1,8 +1,8 @@
 #pragma once
-// Thin veneer over the process-wide core::TaskPool (which replaced the
-// OpenMP runtime): the width/region queries the solvers and FFT gate on,
-// the RAII width pin the benches use, and a chunked parallel-for for the
-// embarrassingly-parallel row sweeps of the vanilla pricers and baselines.
+// Thin veneer over the process-wide core::TaskPool: the width/region
+// queries the solvers and FFT gate on, the RAII width pin the benches use,
+// and a chunked parallel-for for the embarrassingly-parallel row sweeps of
+// the vanilla pricers and baselines.
 
 #include <algorithm>
 #include <cstddef>
@@ -22,8 +22,7 @@ inline void set_threads(int n) {
 }
 
 /// True on a pool worker thread — i.e. inside task execution, where the
-/// FFT must not fan out again (nested transforms stay serial, exactly as
-/// the omp_in_parallel() gate behaved).
+/// FFT must not fan out again (nested transforms stay serial).
 [[nodiscard]] inline bool in_parallel_region() {
   return core::TaskPool::on_worker();
 }
@@ -43,12 +42,12 @@ class ThreadScope {
 };
 
 /// Run `fn(lo, hi)` over a static split of [0, n) into at most width
-/// contiguous chunks of at least `min_chunk` elements — the successor of
-/// `omp parallel for schedule(static)` for pure disjoint maps. The chunk
-/// boundaries depend only on (n, width), and the legs write disjoint
-/// ranges, so for the library's split-invariant sweeps the bits match
-/// serial execution at any width. Runs serially (one call, [0, n)) when
-/// the pool is at width 1, on a worker already, or n < 2 * min_chunk.
+/// contiguous chunks of at least `min_chunk` elements, for pure disjoint
+/// maps. The chunk boundaries depend only on (n, width), and the legs
+/// write disjoint ranges, so for the library's split-invariant sweeps the
+/// bits match serial execution at any width. Runs serially (one call,
+/// [0, n)) when the pool is at width 1, on a worker already, or
+/// n < 2 * min_chunk.
 template <class Fn>
 void parallel_for_chunks(std::ptrdiff_t n, std::ptrdiff_t min_chunk,
                          Fn&& fn) {

@@ -28,11 +28,11 @@
 // executing worker's arena, and the TaskPool's join rules confine each
 // worker's live frames to one solve's nesting, which is what keeps the
 // per-worker footprint — and the zero-steady-state-allocation counter tests
-// — deterministic). Every *mutation* (frames, lease/release, trim) happens
-// on the owning thread, so the whole hot path is synchronization-free — a
-// frame costs two plain increments and a pointer pop, which is what keeps
-// the task-parallel descent as cheap per level as the old single-stack
-// bump arena. Cross-thread readers (`capacity()`, the process-wide
+// — deterministic). Every *mutation* (frames, lease/release) happens on
+// the owning thread, so the whole hot path is synchronization-free — a
+// frame costs a bump and a free-list pop, which is what keeps the
+// task-parallel descent as cheap per level as the old single-stack bump
+// arena. Cross-thread readers (`capacity()`, the process-wide
 // `aggregate_scratch()` behind the server's admission control) see the
 // footprint through one atomic counter instead of walking the block list.
 
@@ -59,11 +59,8 @@ class ScratchStack {
   /// frame must simply outlive the spans alloc()'d through it.
   class Frame {
    public:
-    explicit Frame(ScratchStack& s) noexcept : s_(s) { ++s_.frames_; }
-    ~Frame() {
-      if (head_) s_.release(head_);
-      --s_.frames_;
-    }
+    explicit Frame(ScratchStack& s) noexcept : s_(s) {}
+    ~Frame() { if (head_) s_.release(head_); }
     Frame(const Frame&) = delete;
     Frame& operator=(const Frame&) = delete;
 
@@ -79,17 +76,9 @@ class ScratchStack {
     std::size_t used_ = 0;          ///< doubles bumped in *head_
   };
 
-  /// Total doubles of backing storage currently held, leased or free
-  /// (grow-only between trim() calls).
+  /// Total doubles of backing storage currently held, leased or free. The
+  /// arena only grows, so this is also its high-water mark.
   [[nodiscard]] std::size_t capacity() const noexcept;
-
-  /// Opt-in high-water-mark decay for long-lived sessions mixing huge and
-  /// tiny problem sizes: releases free backing blocks, keeping the largest
-  /// set that fits in `retain_bytes`. A call while any Frame is outstanding
-  /// is ignored — outstanding spans stay valid and the descent keeps its
-  /// grow-only guarantee; only a between-batches caller (no live frames)
-  /// actually shrinks storage. Returns whether a shrink happened.
-  bool trim(std::size_t retain_bytes) noexcept;
 
  private:
   friend class Frame;
@@ -108,7 +97,6 @@ class ScratchStack {
 
   std::vector<std::unique_ptr<struct Block>> blocks_;  ///< all owned blocks
   struct Block* free_[kNumClasses] = {};  ///< unleased blocks, per class
-  std::size_t frames_ = 0;  ///< live Frame count (trim() guard, owner-only)
   std::atomic<std::size_t> capacity_{0};  ///< doubles held, for readers
 };
 

@@ -96,7 +96,7 @@ class TaskPool {
   /// the thread-scaling benches and the determinism stress test rely on.
   void set_concurrency(int n);
 
-  /// True on a pool worker thread (the successor of omp_in_parallel()).
+  /// True on a pool worker thread.
   [[nodiscard]] static bool on_worker() noexcept;
 
   /// Run `f` and `g` as potentially-parallel legs: `g` is offered to the
@@ -144,27 +144,19 @@ class TaskPool {
 
   /// Counter-scheduled parallel map: `body(i)` for every i in [0, n), with
   /// up to min(concurrency, max_width, n) executors (0 = no cap) pulling
-  /// indices from a shared atomic counter (the successor of
-  /// `omp for schedule(dynamic,1)`). After an executor exhausts the
-  /// counter it runs `epilogue()` once on its own thread — the hook the
-  /// Pricer uses to record/trim each executor's scratch arena at the join,
-  /// exactly where the OpenMP version ran its end-of-region code. The
-  /// caller always participates; with one executor everything runs inline
-  /// in index order.
-  template <class Body, class Epilogue>
-  void for_each(std::ptrdiff_t n, Body&& body, Epilogue&& epilogue,
-                int max_width = 0) {
+  /// indices from a shared atomic counter. The caller always participates;
+  /// with one executor everything runs inline in index order.
+  template <class Body>
+  void for_each(std::ptrdiff_t n, Body&& body, int max_width = 0) {
     if (n <= 0) return;
     int width = concurrency();
     if (max_width > 0 && max_width < width) width = max_width;
     if (static_cast<std::ptrdiff_t>(width) > n) width = static_cast<int>(n);
     if (width > kMaxThreads) width = kMaxThreads;
-    using Ctx = ForEachCtx<std::remove_reference_t<Body>,
-                           std::remove_reference_t<Epilogue>>;
+    using Ctx = ForEachCtx<std::remove_reference_t<Body>>;
     Ctx ctx;
     ctx.n = n;
     ctx.body = std::addressof(body);
-    ctx.epilogue = std::addressof(epilogue);
     if (width <= 1 || nested_external()) {
       run_inline(&Ctx::drain, &ctx);
       return;
@@ -190,22 +182,10 @@ class TaskPool {
     if (join.err) std::rethrow_exception(join.err);
   }
 
-  template <class Body>
-  void for_each(std::ptrdiff_t n, Body&& body, int max_width = 0) {
-    for_each(
-        n, std::forward<Body>(body), [] {}, max_width);
-  }
-
   /// Offer a detached task (join == nullptr, `fn` must not throw) to the
   /// workers. Returns false when the queue is full — the caller must then
   /// run the task inline. The node is reusable as soon as `fn` returns.
   bool submit_detached(Task* t);
-
-  /// Run `fn(arg)` once on every active worker thread (callers excluded),
-  /// blocking until all have finished. Must NOT be called from a worker.
-  /// Test/maintenance hook: deterministic per-worker arena warm-up and
-  /// trims — not a fast path.
-  void run_on_workers(void (*fn)(void*), void* arg);
 
  private:
   /// Bounded MPMC ring of task pointers under one mutex. Owner pushes and
@@ -226,12 +206,11 @@ class TaskPool {
     std::uint64_t tail = 0;
   };
 
-  template <class Body, class Epilogue>
+  template <class Body>
   struct ForEachCtx {
     std::atomic<std::ptrdiff_t> next{0};
     std::ptrdiff_t n = 0;
     Body* body = nullptr;
-    Epilogue* epilogue = nullptr;
 
     static void drain(void* p) {
       auto& c = *static_cast<ForEachCtx*>(p);
@@ -240,7 +219,6 @@ class TaskPool {
         if (i >= c.n) break;
         (*c.body)(static_cast<std::size_t>(i));
       }
-      (*c.epilogue)();
     }
   };
 
@@ -282,15 +260,6 @@ class TaskPool {
   std::atomic<int> sleepers_{0};
   std::mutex sleep_mu_;
   std::condition_variable sleep_cv_;
-
-  // run_on_workers state: fields written under bcast_mu_, published by the
-  // generation counter's release store, consumed by workers between tasks.
-  std::mutex bcast_mu_;
-  std::atomic<std::uint64_t> bcast_gen_{0};
-  std::atomic<int> bcast_remaining_{0};
-  std::atomic<int> bcast_limit_{0};
-  void (*bcast_fn_)(void*) = nullptr;
-  void* bcast_arg_ = nullptr;
 };
 
 }  // namespace amopt::core

@@ -10,9 +10,10 @@
 // signal the pricers transform is real, so `RealPlan` computes a size-n real
 // DFT through a size-n/2 complex transform with an O(n) post-twiddle —
 // 1.5 half-size transforms per convolution instead of 2 full-size ones.
-// Stages of large transforms are parallelized with OpenMP `parallel for`
-// (span O(log n) stages), matching the O(log l * log log l)-span FFT the
-// paper assumes.
+// Stages of large transforms are split across the task pool
+// (`TaskPool::for_each`; span O(log n) stages) unless the caller is already
+// a pool worker, matching the O(log l * log log l)-span FFT the paper
+// assumes.
 //
 // Plan lookups (`plan_for` / `real_plan_for`) are wait-free for readers:
 // the cache publishes immutable snapshots through an atomic pointer, so

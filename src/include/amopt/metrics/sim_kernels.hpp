@@ -37,13 +37,11 @@ enum class SimAlg {
                                          std::int64_t T);
 
 /// Replay ONE FFT convolution (operand sizes as conv::correlate_valid sees
-/// them) through the cache simulator: the production R2C/C2R pipeline by
-/// default, the seed's packed-complex pipeline with `packed = true`.
-/// Exposed so tests can hold the model against the real pipeline's traffic
-/// counters and against the legacy model it replaced.
+/// them) through the cache simulator's model of the production R2C/C2R
+/// pipeline. Exposed so tests can hold the model against the real
+/// pipeline's traffic counters.
 [[nodiscard]] CacheStats simulate_fft_convolution(std::size_t n_in,
                                                   std::size_t n_kernel,
-                                                  std::size_t n_out,
-                                                  bool packed = false);
+                                                  std::size_t n_out);
 
 }  // namespace amopt::metrics

@@ -27,7 +27,7 @@ enum class Style { american, european };
 enum class Engine {
   fft,               ///< the paper's O(T log^2 T) algorithm
   vanilla,           ///< Θ(T^2) serial loop (Figure 1)
-  vanilla_parallel,  ///< Θ(T^2) loop, OpenMP row-parallel
+  vanilla_parallel,  ///< Θ(T^2) loop, rows split by parallel_for_chunks
   tiled,             ///< zb-bopm: cache-aware split tiling (BOPM call only)
   cache_oblivious,   ///< Frigo-Strumpen recursion (BOPM call only)
   quantlib,          ///< ql-bopm: QuantLib-style rollback (BOPM call only)
@@ -55,8 +55,11 @@ enum class Engine {
 ///    ordinary strike ladder) share ONE kernel cache, so each kernel power
 ///    of the fft engine is computed once per chain instead of once per
 ///    option, and the FFT plan/workspace warm-up is amortized;
-///  * options are priced in parallel with OpenMP (the per-option solvers
-///    detect the enclosing parallel region and stay serial inside).
+///  * options are priced in parallel across the task pool
+///    (`TaskPool::for_each`). A descent that runs on a pool worker still
+///    forks its legs onto that worker's deque; one that runs on the calling
+///    thread forks inline. Only the FFT stage split checks
+///    `in_parallel_region()` and stays serial on a worker.
 ///
 /// Throws std::invalid_argument on the first unsupported combination, like
 /// the scalar call. For heterogeneous chains or per-item error reporting

@@ -13,7 +13,7 @@
 //   * `price_many` serves a HETEROGENEOUS batch (mixed models, rights,
 //     expiries, engines, compute targets) with per-item `Status` instead of
 //     throw-on-first-error; items whose derived taps coincide share one
-//     kernel cache and the fan-out runs under OpenMP;
+//     kernel cache and the items fan out across the task pool;
 //   * `greeks_many` layers the finite-difference greeks on top, with every
 //     bumped re-pricing routed through the session's caches;
 //   * `implied_vol_many` runs the safeguarded Newton inversion with every
@@ -25,7 +25,6 @@
 // over a temporary session and return bit-identical values (asserted by
 // tests/test_pricer.cpp).
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -47,28 +46,6 @@ namespace amopt::pricing {
 /// Session-level configuration.
 struct PricerConfig {
   core::SolverConfig solver{};  ///< default per-request solver config
-  /// The kernel-cache registry is two-tiered. The BASE tier holds the tap
-  /// groups of the requests themselves (the chain's own contracts) bounded
-  /// by `max_kernel_caches`; the TRANSIENT tier holds the groups minted by
-  /// greeks bumps and implied-vol trial evaluations, bounded separately by
-  /// `max_transient_kernel_caches`. Each tier runs its own LRU, so a flood
-  /// of heterogeneous trial vols can only cycle the (smaller) transient
-  /// tier — it can never evict a chain's base groups. Transient groups that
-  /// later arrive as base requests are promoted. In-flight pricings keep
-  /// evicted caches alive — eviction only forgets warm state, it never
-  /// invalidates a running computation. Bracket endpoints and early
-  /// iterates still repeat across a chain and across recalibration ticks,
-  /// which is where the transient tier's warm-session win comes from; a
-  /// miss costs a rebuild, never correctness.
-  std::size_t max_kernel_caches = 64;
-  std::size_t max_transient_kernel_caches = 16;
-  /// Byte cap for the spectrum tier ACROSS the whole registry: every
-  /// session cache shares one stencil::SpectrumBudget, which LRU-evicts
-  /// (height, fft-size) spectra — whichever cache owns them — once their
-  /// total bytes exceed this. Time-domain kernel powers are NOT counted
-  /// (they are what the LRU'd caches themselves bound); this cap closes the
-  /// one unbounded tier left inside a cache. 0 = unbounded.
-  std::size_t max_spectrum_bytes = 32u << 20;
   /// Cap on this session's batch fan-out width (number of pool executors a
   /// price_many call may occupy, caller included). 0 = the pool's current
   /// width (AMOPT_THREADS / set_threads); 1 pins the session serial without
@@ -76,23 +53,6 @@ struct PricerConfig {
   /// item fan-out — the solvers' intra-solve tasks still use the shared
   /// pool, which is what `SolverConfig::parallel` gates.
   int threads = 0;
-  /// Warm-start repeated implied-vol inversions: the session remembers each
-  /// contract's last two (vol, price) evaluation points and restarts the
-  /// safeguarded secant from them, so a recalibration tick typically costs
-  /// 1-3 pricings instead of the ~12 of a cold bracketed Newton. The root
-  /// satisfies the same price tolerance but may differ from the cold path
-  /// in the last bits (different, fewer iterates); set false to replay the
-  /// free-function iteration exactly on every call.
-  bool warm_start_iv = true;
-  /// Warm-start repeated batch greeks the way implied vol is warm-started:
-  /// the session remembers the price of every bumped spec a greeks report
-  /// evaluates (keyed by the full spec + discretization + resolved solver
-  /// config), so a recalibration tick that re-requests greeks for an
-  /// unchanged contract replays its finite-difference legs from the store
-  /// instead of re-pricing them. Prices are deterministic in the key, so
-  /// reuse is exact — results are bit-identical to a cold call at the same
-  /// SIMD dispatch level. Set false to re-price every leg on every call.
-  bool warm_start_greeks = true;
   /// Opt-in cross-expiry kernel sharing; unset (default) turns it off.
   /// When set, requests in one `price_many` batch whose derived taps
   /// differ ONLY through the time step (same model / right / style / fft
@@ -122,18 +82,33 @@ struct PricerConfig {
   /// sharing refinement above; covered by the DESIGN.md §12 accuracy
   /// contract.
   std::optional<double> share_expiries{};
-  /// Opt-in scratch-arena high-water-mark decay: after each batch, every
-  /// thread that served items trims its ScratchStack down to at most this
-  /// many bytes (core::ScratchStack::trim), so a long-lived session mixing
-  /// huge and tiny T releases the dead blocks between batches while the
-  /// descent itself keeps PR-5's grow-only guarantee (trim is a no-op while
-  /// any frame is live). 0 (default) disables trimming — the arena keeps
-  /// its high-water mark forever, exactly the pre-trim behavior.
-  std::size_t scratch_trim_bytes = 0;
 };
 
 class Pricer {
  public:
+  /// The kernel-cache registry is two-tiered. The BASE tier holds the tap
+  /// groups of the requests themselves (the chain's own contracts), at most
+  /// kBaseKernelCaches of them; the TRANSIENT tier holds the groups minted
+  /// by greeks bumps and implied-vol trial evaluations, at most
+  /// kTransientKernelCaches. Each tier runs its own LRU, so a flood of
+  /// heterogeneous trial vols can only cycle the (smaller) transient tier —
+  /// it can never evict a chain's base groups. Transient groups that later
+  /// arrive as base requests are promoted. In-flight pricings keep evicted
+  /// caches alive — eviction only forgets warm state, it never invalidates
+  /// a running computation. Bracket endpoints and early iterates still
+  /// repeat across a chain and across recalibration ticks, which is where
+  /// the transient tier's warm-session win comes from; a miss costs a
+  /// rebuild, never correctness.
+  static constexpr std::size_t kBaseKernelCaches = 64;
+  static constexpr std::size_t kTransientKernelCaches = 16;
+  /// Byte cap for the spectrum tier ACROSS the whole registry: every
+  /// session cache shares one stencil::SpectrumBudget, which LRU-evicts
+  /// (height, fft-size) spectra — whichever cache owns them — once their
+  /// total bytes exceed this. Time-domain kernel powers are NOT counted
+  /// (they are what the LRU'd caches themselves bound); this cap closes the
+  /// one unbounded tier left inside a cache.
+  static constexpr std::size_t kSpectrumBytes = std::size_t{32} << 20;
+
   explicit Pricer(PricerConfig cfg = {});
   Pricer(const Pricer&) = delete;
   Pricer& operator=(const Pricer&) = delete;
@@ -172,13 +147,19 @@ class Pricer {
   void price_many_into(std::span<const PricingRequest> requests,
                        std::vector<PricingResult>& out, BatchScratch& scratch);
 
-  /// Single-request convenience (no OpenMP fan-out, so the solver's own
+  /// Single-request convenience (no batch fan-out, so the solver's own
   /// internal parallelism stays available, like a legacy `price()` call).
   [[nodiscard]] PricingResult price_one(const PricingRequest& request);
 
   /// Batch greeks: `price_many` with every item's compute mask replaced by
   /// Compute::greeks (the report's own price lands in both `greeks.price`
-  /// and `price`).
+  /// and `price`). Warm-started: the session remembers the price of every
+  /// bumped spec a greeks report evaluates (keyed by the full spec +
+  /// discretization + resolved solver config), so a recalibration tick that
+  /// re-requests greeks for an unchanged contract replays its
+  /// finite-difference legs from the store instead of re-pricing them.
+  /// Prices are deterministic in the key, so reuse is exact — results are
+  /// bit-identical to a cold call at the same SIMD dispatch level.
   [[nodiscard]] std::vector<PricingResult> greeks_many(
       std::span<const PricingRequest> requests);
 
@@ -186,6 +167,13 @@ class Pricer {
   /// replaced by Compute::implied_vol. Each item inverts its
   /// `target_price` with the safeguarded Newton of `implied_vol.hpp`,
   /// every trial-vol evaluation drawing on the session's kernel caches.
+  /// The first inversion of a contract is the free functions' cold
+  /// bracketed Newton, iterate for iterate. Later ones are warm-started:
+  /// the session remembers the contract's last two (vol, price) evaluation
+  /// points and restarts the safeguarded secant from them, so a
+  /// recalibration tick typically costs 1-3 pricings instead of ~12. A warm
+  /// root satisfies the same price tolerance but may differ from a cold
+  /// inversion in the last bits (different, fewer iterates).
   [[nodiscard]] std::vector<PricingResult> implied_vol_many(
       std::span<const PricingRequest> requests);
 
@@ -203,24 +191,20 @@ class Pricer {
     std::size_t warm_roots = 0;     ///< contracts with a remembered IV root
     std::size_t warm_bump_prices = 0;   ///< remembered greeks-leg prices
     std::uint64_t bump_price_hits = 0;  ///< greeks legs served from the store
-    /// Admission-control inputs for the service plane (service/server.hpp):
     std::uint64_t batches = 0;  ///< price_many/price_many_into calls served
-    /// Largest per-thread ScratchStack footprint observed at the end of any
-    /// batch this session served, in bytes and measured BEFORE the opt-in
-    /// between-batches trim — the true arena high-water mark, which is what
-    /// an admission controller sizing a shard's memory ceiling needs.
-    std::size_t scratch_high_water_bytes = 0;
-    std::uint64_t scratch_trim_events = 0;  ///< trims that actually released
     /// Current PROCESS-WIDE arena footprint summed over every live thread
     /// arena (core::aggregate_scratch) — once batches fan out across pool
     /// workers, the true multi-thread footprint is this sum, not any single
-    /// thread's high-water mark. Snapshot at stats() time (after any
-    /// between-batches trim), shared by all sessions in the process.
+    /// thread's. Arenas only grow, so it is also their high-water mark.
+    /// Snapshot at stats() time, shared by all sessions in the process; the
+    /// service plane's admission control (service/server.hpp) keys on it.
     std::size_t scratch_total_bytes = 0;
   };
   [[nodiscard]] Stats stats() const;
 
-  /// Drop all warm state (kernel caches and counters).
+  /// Drop all warm state (kernel caches and counters). The spectrum budget
+  /// is replaced by a fresh one, so its byte and eviction counts restart
+  /// at zero; a cache still held by an in-flight batch keeps the old one.
   void clear();
 
   [[nodiscard]] const PricerConfig& config() const noexcept { return cfg_; }
@@ -300,8 +284,8 @@ class Pricer {
   };
   std::vector<Entry> base_caches_;       ///< requests' own tap groups
   std::vector<Entry> transient_caches_;  ///< bump/trial-vol tap groups
-  /// Registry-wide spectrum-tier byte budget (null when the cap is 0);
-  /// attached to every cache the registry creates. shared_ptr because
+  /// Registry-wide spectrum-tier byte budget (kSpectrumBytes), attached to
+  /// every cache the registry creates; guarded by mu_. shared_ptr because
   /// evicted-but-in-flight caches may outlive the registry entry.
   std::shared_ptr<stencil::SpectrumBudget> spectrum_budget_;
   /// Boundary-engine node tables by (alo_nodes << 32) | alo_quad (clamped
@@ -320,10 +304,6 @@ class Pricer {
   std::uint64_t requests_ = 0;
   std::uint64_t bump_hits_ = 0;
   std::uint64_t batches_ = 0;
-  /// Atomic (not mu_-guarded): updated by every fan-out thread at the end
-  /// of a batch, where taking the registry mutex would serialize the join.
-  std::atomic<std::size_t> scratch_high_water_{0};
-  std::atomic<std::uint64_t> trim_events_{0};
 };
 
 }  // namespace amopt::pricing

@@ -33,12 +33,13 @@
 //     guesswork). One thread per connection.
 //
 // Admission control instead of unbounded queueing: `submit` consults the
-// shard's queue depth and the memory figures its `Pricer::stats()`
-// published after the last batch (total scratch-arena footprint across
-// every pool worker, spectrum-tier bytes). An item that would exceed the
-// configured ceilings completes
-// immediately with `Status::overloaded` and a retry hint in `message` —
-// the caller sheds load; the daemon never grows without bound.
+// shard's queue depth and the scratch-arena footprint its `Pricer::stats()`
+// published after the last batch (summed across every pool worker). An
+// item that would overflow the queue or exceed the scratch ceiling
+// completes immediately with `Status::overloaded` and a retry hint in
+// `message` — the caller sheds load; the daemon never grows without bound.
+// Spectrum bytes need no ceiling here: each shard session's own budget
+// (`Pricer::kSpectrumBytes`) already caps them.
 
 #include <atomic>
 #include <chrono>
@@ -56,10 +57,7 @@
 namespace amopt::service {
 
 struct ServerConfig {
-  /// Per-shard session configuration. `scratch_trim_bytes` composes: each
-  /// shard's Pricer trims its arena between batches exactly as a direct
-  /// session would.
-  pricing::PricerConfig pricer{};
+  pricing::PricerConfig pricer{};  ///< per-shard session configuration
   std::size_t shards = 1;  ///< pricing shards (pool-drained), one Pricer each
   std::size_t queue_capacity = 4096;  ///< per-shard item ring (hard bound)
   /// After the first item of a batch arrives, wait up to this long for
@@ -68,15 +66,11 @@ struct ServerConfig {
   /// kernel build). 0 = drain only what is already queued — no waiting.
   std::uint32_t coalesce_window_us = 50;
   std::size_t max_coalesced_items = 1024;  ///< cap on one merged batch
-  /// Admission ceilings (0 = disabled). `admit_queue_depth` rejects once a
-  /// shard's queue holds this many items (it additionally never exceeds
-  /// `queue_capacity`); the byte ceilings reject while the shard session's
+  /// Memory ceiling (0 = disabled): rejects while the shard session's
   /// last-published `scratch_total_bytes` (every pool worker's arena, the
-  /// true multi-thread footprint) / `spectrum_bytes` exceed them —
-  /// backpressure keyed on real memory, not guesses.
-  std::size_t admit_queue_depth = 0;
+  /// true multi-thread footprint) exceeds it — backpressure keyed on real
+  /// memory, not guesses.
   std::size_t admit_scratch_bytes = 0;
-  std::size_t admit_spectrum_bytes = 0;
 };
 
 class Server {

@@ -7,8 +7,7 @@
 // SHARE one (all strikes of a chain have the same taps, so they request the
 // same kernel powers). Lookups of warm heights take a shared lock only, so
 // readers never serialize against each other; the cache is safe to use from
-// the solver's parallel OpenMP tasks and from `pricing::price_batch`'s
-// per-option threads.
+// the solver's pool tasks and from a batch fan-out's concurrent pricings.
 //
 // Two tiers per height:
 //   * TIME DOMAIN — `power(h)`: the coefficients of taps^h. Unchanged

@@ -124,14 +124,13 @@ void sim_bsm_vanilla(CacheSim& sim, std::int64_t T) {
 // ---------------------------------------------------------------------
 
 /// Replays the memory behaviour of the FFT convolution pipelines over real
-/// heap addresses. Since PR 3 the default model is the production R2C/C2R
-/// real-input pipeline (conv::real_convolve_into): zero-padded real operand
-/// buffers, two half-size complex forward transforms with their O(n)
-/// untangle pair sweeps, the pointwise product over the n/2+1 non-redundant
-/// bins, and one half-size inverse with its retangle sweep. The legacy
-/// packed-complex model survives as `convolution_packed` so tests can
-/// assert the retune actually shrank the modeled traffic. Twiddle tables
-/// are cached per size exactly like fft::plan_for / real_plan_for, and work
+/// heap addresses. The model is the production R2C/C2R real-input pipeline
+/// (conv::real_convolve_into): zero-padded real operand buffers, two
+/// half-size complex forward transforms with their O(n) untangle pair
+/// sweeps, the pointwise product over the n/2+1 non-redundant bins, and one
+/// half-size inverse with its retangle sweep. Sizes below 4 have no
+/// half-size transform and replay `convolution_packed`. Twiddle tables are
+/// cached per size exactly like fft::plan_for / real_plan_for, and work
 /// buffers are reused per size (the Workspace arena in the real code).
 class FftReplayer {
  public:
@@ -216,8 +215,8 @@ class FftReplayer {
     for (std::size_t i = 0; i < n_out; ++i) (void)ra[i];  // copy out
   }
 
-  /// The seed's packed-complex two-for-one pipeline (no longer in conv),
-  /// kept for model-parity tests and the degenerate tiny sizes above.
+  /// A packed-complex two-for-one pipeline: the model for the degenerate
+  /// n < 4 sizes above, which have no half-size transform.
   void convolution_packed(std::size_t n_in, std::size_t n_kernel,
                           std::size_t n_out) {
     const std::size_t full = n_in + n_kernel - 1;
@@ -507,14 +506,10 @@ const char* to_string(SimAlg alg) {
 }
 
 CacheStats simulate_fft_convolution(std::size_t n_in, std::size_t n_kernel,
-                                    std::size_t n_out, bool packed) {
+                                    std::size_t n_out) {
   CacheSim sim;
   FftReplayer fr(sim);
-  if (packed) {
-    fr.convolution_packed(n_in, n_kernel, n_out);
-  } else {
-    fr.convolution(n_in, n_kernel, n_out);
-  }
+  fr.convolution(n_in, n_kernel, n_out);
   return sim.stats();
 }
 

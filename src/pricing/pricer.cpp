@@ -31,14 +31,10 @@ std::string_view to_string(Status s) {
   return "?";
 }
 
-Pricer::Pricer(PricerConfig cfg) : cfg_(cfg) {
-  if (cfg_.max_kernel_caches == 0) cfg_.max_kernel_caches = 1;
-  if (cfg_.max_transient_kernel_caches == 0)
-    cfg_.max_transient_kernel_caches = 1;
-  if (cfg_.max_spectrum_bytes > 0)
-    spectrum_budget_ =
-        std::make_shared<stencil::SpectrumBudget>(cfg_.max_spectrum_bytes);
-}
+Pricer::Pricer(PricerConfig cfg)
+    : cfg_(cfg),
+      spectrum_budget_(
+          std::make_shared<stencil::SpectrumBudget>(kSpectrumBytes)) {}
 
 bool Pricer::supports(Model m, Right r, Style s, Engine e) noexcept {
   if (s == Style::european) {
@@ -133,7 +129,7 @@ Pricer::CachePtr Pricer::cache_for(const stencil::LinearStencil& st,
         // group: move it to the protected tier.
         base_caches_.push_back(std::move(*it));
         transient_caches_.erase(it);
-        evict_lru(base_caches_, cfg_.max_kernel_caches);
+        evict_lru(base_caches_, kBaseKernelCaches);
       }
       return out;
     }
@@ -141,15 +137,15 @@ Pricer::CachePtr Pricer::cache_for(const stencil::LinearStencil& st,
   ++misses_;
   Entry entry;
   entry.cache = std::make_shared<stencil::KernelCache>(st);
-  if (spectrum_budget_) entry.cache->set_spectrum_budget(spectrum_budget_);
+  entry.cache->set_spectrum_budget(spectrum_budget_);
   entry.last_used = ++tick_;
   CachePtr out = entry.cache;
   if (tier == Tier::base) {
     base_caches_.push_back(std::move(entry));
-    evict_lru(base_caches_, cfg_.max_kernel_caches);
+    evict_lru(base_caches_, kBaseKernelCaches);
   } else {
     transient_caches_.push_back(std::move(entry));
-    evict_lru(transient_caches_, cfg_.max_transient_kernel_caches);
+    evict_lru(transient_caches_, kTransientKernelCaches);
   }
   return out;
 }
@@ -186,7 +182,6 @@ namespace {
 double Pricer::price_cached_memo(const OptionSpec& spec,
                                  const PricingRequest& req,
                                  const core::SolverConfig& cfg) {
-  if (!cfg_.warm_start_greeks) return price_cached(spec, req, cfg);
   const std::string key = eval_key(spec, req, cfg);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -441,7 +436,7 @@ void Pricer::run_implied_vol(const PricingRequest& req,
   const std::string key = iv_key(req, ivc, cfg);
   WarmRoot warm;
   bool have_warm = false;
-  if (cfg_.warm_start_iv) {
+  {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = warm_roots_.find(key);
     if (it != warm_roots_.end()) {
@@ -468,7 +463,7 @@ void Pricer::run_implied_vol(const PricingRequest& req,
         warm.p1);
   }
 
-  if (out.implied_vol.converged && cfg_.warm_start_iv && traced >= 2) {
+  if (out.implied_vol.converged && traced >= 2) {
     std::lock_guard<std::mutex> lock(mu_);
     // Bounded one-victim-at-a-time eviction (arbitrary hash-order victim):
     // keeps memory flat on a rotating contract universe without ever
@@ -681,37 +676,18 @@ void Pricer::price_many_into(std::span<const PricingRequest> requests,
     }
   };
 
-  // Per-thread batch epilogue: record the arena footprint this thread
-  // reached (max over the session -> Stats::scratch_high_water_bytes), then
-  // run the opt-in between-batches decay — no frames are live here, so trim
-  // actually releases. Atomics, not mu_: every fan-out thread runs this at
-  // the join and must not serialize on the registry lock.
-  const auto finish_thread = [&] {
-    const std::size_t bytes =
-        core::thread_scratch().capacity() * sizeof(double);
-    std::size_t seen = scratch_high_water_.load(std::memory_order_relaxed);
-    while (bytes > seen && !scratch_high_water_.compare_exchange_weak(
-                               seen, bytes, std::memory_order_relaxed)) {
-    }
-    if (cfg_.scratch_trim_bytes > 0 &&
-        core::thread_scratch().trim(cfg_.scratch_trim_bytes))
-      trim_events_.fetch_add(1, std::memory_order_relaxed);
-  };
-
   auto& pool = core::TaskPool::instance();
   if (requests.size() > 1 && cfg_.threads != 1 &&
       pool.concurrency() > 1) {
-    // Parallelize across items (counter-scheduled, like the old
-    // schedule(dynamic,1)); the inner solvers see the enclosing region and
-    // stay serial, so one item never oversubscribes the machine. Every
-    // executor runs finish_thread at the join, on its own thread.
+    // Parallelize across items, one index at a time off a shared counter.
+    // An item served on a pool worker still forks its descent onto that
+    // worker's deque; one served on the calling thread forks inline.
     pool.for_each(static_cast<std::ptrdiff_t>(requests.size()), serve,
-                  finish_thread, cfg_.threads);
+                  cfg_.threads);
   } else {
     // Single item (or serial session): keep the solver's own internal
     // parallelism available, like a legacy scalar price() call.
     for (std::size_t i = 0; i < requests.size(); ++i) serve(i);
-    finish_thread();
   }
 }
 
@@ -754,16 +730,11 @@ Pricer::Stats Pricer::stats() const {
   s.warm_bump_prices = bump_prices_.size();
   s.bump_price_hits = bump_hits_;
   s.batches = batches_;
-  s.scratch_high_water_bytes =
-      scratch_high_water_.load(std::memory_order_relaxed);
-  s.scratch_trim_events = trim_events_.load(std::memory_order_relaxed);
   s.scratch_total_bytes = core::aggregate_scratch().total_bytes;
-  if (spectrum_budget_) {
-    const stencil::SpectrumBudget::Stats b = spectrum_budget_->stats();
-    s.spectrum_bytes = b.bytes;
-    s.spectrum_entries = b.entries;
-    s.spectrum_evictions = b.evictions;
-  }
+  const stencil::SpectrumBudget::Stats b = spectrum_budget_->stats();
+  s.spectrum_bytes = b.bytes;
+  s.spectrum_entries = b.entries;
+  s.spectrum_evictions = b.evictions;
   return s;
 }
 
@@ -774,9 +745,8 @@ void Pricer::clear() {
   node_tables_.clear();
   warm_roots_.clear();
   bump_prices_.clear();
+  spectrum_budget_ = std::make_shared<stencil::SpectrumBudget>(kSpectrumBytes);
   tick_ = hits_ = misses_ = requests_ = bump_hits_ = batches_ = 0;
-  scratch_high_water_.store(0, std::memory_order_relaxed);
-  trim_events_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace amopt::pricing

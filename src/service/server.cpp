@@ -30,8 +30,6 @@ constexpr std::string_view kShedQueueFull =
     "overloaded: shard queue full; retry after a backoff";
 constexpr std::string_view kShedScratch =
     "overloaded: shard scratch footprint over ceiling; retry after a backoff";
-constexpr std::string_view kShedSpectrum =
-    "overloaded: shard spectrum bytes over ceiling; retry after a backoff";
 constexpr std::string_view kShedDrain =
     "overloaded: server draining; retry against another instance";
 constexpr std::string_view kShedDeadline =
@@ -105,7 +103,6 @@ struct Server::Shard {
   // every pool worker's arena), not one thread's high-water mark — with
   // pooled execution that is the figure admission must compare against.
   std::atomic<std::size_t> scratch_bytes{0};
-  std::atomic<std::size_t> spectrum_bytes{0};
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> rejected{0};
   std::atomic<std::uint64_t> served{0};
@@ -181,7 +178,6 @@ struct Server::Shard {
       if (!batch.empty()) {
         const pricing::Pricer::Stats st = pricer.stats();
         scratch_bytes.store(st.scratch_total_bytes, std::memory_order_relaxed);
-        spectrum_bytes.store(st.spectrum_bytes, std::memory_order_relaxed);
         served.fetch_add(batch.size(), std::memory_order_relaxed);
         batches.fetch_add(1, std::memory_order_relaxed);
       }
@@ -300,10 +296,6 @@ void Server::submit(std::span<const PricingRequest> requests,
   }
   for (std::size_t i = 0; i < requests.size(); ++i) {
     Shard& s = *shards_[shard_of(requests[i])];
-    const std::size_t depth_cap =
-        cfg_.admit_queue_depth == 0
-            ? s.ring.size()
-            : std::min(cfg_.admit_queue_depth, s.ring.size());
     // Whole hint messages are fixed literals (not assembled per item), so
     // shedding under overload stays off the heap — see fill_shed above.
     std::string_view why{};
@@ -312,16 +304,12 @@ void Server::submit(std::span<const PricingRequest> requests,
       std::lock_guard<std::mutex> lock(s.m);
       if (s.stopping) {
         why = kShedStopping;
-      } else if (s.size >= depth_cap) {
+      } else if (s.size >= s.ring.size()) {
         why = kShedQueueFull;
       } else if (cfg_.admit_scratch_bytes != 0 &&
                  s.scratch_bytes.load(std::memory_order_relaxed) >
                      cfg_.admit_scratch_bytes) {
         why = kShedScratch;
-      } else if (cfg_.admit_spectrum_bytes != 0 &&
-                 s.spectrum_bytes.load(std::memory_order_relaxed) >
-                     cfg_.admit_spectrum_bytes) {
-        why = kShedSpectrum;
       } else {
         std::size_t tail = s.head + s.size;
         if (tail >= s.ring.size()) tail -= s.ring.size();

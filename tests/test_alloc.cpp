@@ -78,69 +78,6 @@ TEST(ScratchStack, WarmFramesAllocateNothing) {
   EXPECT_EQ(allocs() - before, 0u);
 }
 
-TEST(ScratchStack, TrimIsIgnoredWhileFramesAreLive) {
-  // The grow-only guarantee inside a descent: a trim that fires while any
-  // frame is outstanding must refuse, so no live span is ever torn down.
-  core::ScratchStack st;
-  core::ScratchStack::Frame frame(st);
-  const auto span = frame.alloc(1u << 14);
-  span[0] = 7.0;
-  const std::size_t cap = st.capacity();
-  EXPECT_FALSE(st.trim(0));
-  EXPECT_EQ(st.capacity(), cap);
-  EXPECT_EQ(span[0], 7.0);
-}
-
-TEST(ScratchStack, TrimShrinksBlocksBetweenBatches) {
-  core::ScratchStack st;
-  {
-    // "Huge-T batch": force growth through several blocks.
-    core::ScratchStack::Frame frame(st);
-    (void)frame.alloc(100);
-    (void)frame.alloc(1u << 14);
-    (void)frame.alloc(1u << 17);
-  }
-  const std::size_t high_water = st.capacity();
-  ASSERT_GT(high_water * sizeof(double), std::size_t{1} << 16);
-  // Between batches (no live frames) trim releases down to the budget.
-  const std::size_t budget_bytes = std::size_t{1} << 16;
-  EXPECT_TRUE(st.trim(budget_bytes));
-  EXPECT_LE(st.capacity() * sizeof(double), budget_bytes);
-  EXPECT_LT(st.capacity(), high_water);
-  {
-    // "Tiny-T batch" after the decay: the stack serves and re-grows as
-    // needed — trim never leaves it in a state alloc can't recover from.
-    core::ScratchStack::Frame frame(st);
-    auto a = frame.alloc(512);
-    a[0] = 1.0;
-    EXPECT_EQ(a[0], 1.0);
-  }
-  // trim(0) releases everything once no frame is live.
-  EXPECT_TRUE(st.trim(0));
-  EXPECT_EQ(st.capacity(), 0u);
-}
-
-TEST(PricerAlloc, ScratchTrimBytesDecaysTheArenaBetweenBatches) {
-  // Session-level opt-in: a serial Pricer with scratch_trim_bytes set trims
-  // the serving thread's arena after each batch, so a huge-T quote doesn't
-  // pin its high-water mark for the rest of the session.
-  pricing::PricerConfig pc;
-  pc.threads = 1;
-  pc.scratch_trim_bytes = std::size_t{1} << 13;
-  pricing::Pricer session(pc);
-  pricing::PricingRequest req;
-  req.spec = pricing::paper_spec();
-  req.T = 4096;
-  req.model = pricing::Model::bopm;
-  req.right = pricing::Right::call;
-  req.style = pricing::Style::american;
-  req.engine = pricing::Engine::fft;
-  const auto res = session.price_many({&req, 1});
-  ASSERT_EQ(res[0].status, pricing::Status::ok);
-  EXPECT_LE(core::thread_scratch().capacity() * sizeof(double),
-            pc.scratch_trim_bytes);
-}
-
 TEST(Descend, SteadyStateDescendPerformsZeroAllocations) {
   const auto spec = pricing::paper_spec();
   const std::int64_t T = 4096;

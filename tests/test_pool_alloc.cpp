@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <latch>
 
 #include "amopt/common/parallel.hpp"
 #include "amopt/core/lattice_solver.hpp"
@@ -41,8 +42,7 @@ struct WarmupCtx {
 // footprint a stolen subtree of the parallel descend can require (a
 // subtree's level heights are a suffix of the serial chain's, so its
 // frames best-fit into the serially warmed blocks).
-void warm_this_thread(void* p) {
-  const auto& ctx = *static_cast<const WarmupCtx*>(p);
+void warm_this_thread(const WarmupCtx& ctx) {
   const pricing::bopm::CallGreen green(ctx.spec, ctx.prm);
   core::SolverConfig cfg;
   cfg.parallel = false;
@@ -76,9 +76,15 @@ TEST(PoolAlloc, WarmParallelDescendPerformsZeroAllocations) {
   const core::LatticeRow top = row;
   const core::LatticeRow ref = serial.descend(std::move(row), 0);
 
-  // Warm every worker's arena to the serial footprint, deterministically
-  // (each worker runs the whole serial solve once, on its own thread).
-  pool.run_on_workers(&warm_this_thread, &ctx);
+  // Warm every worker's arena to the serial footprint, deterministically:
+  // each executor holds its first index until all kWidth are taken, so the
+  // caller and each of the 3 active workers run the whole serial solve
+  // exactly once, on its own thread.
+  std::latch all_in(kWidth);
+  pool.for_each(kWidth, [&](std::size_t) {
+    all_in.arrive_and_wait();
+    warm_this_thread(ctx);
+  });
 
   // The parallel solver shares the warmed kernel cache; its first descend
   // (uncounted) converges any per-solver buffers.

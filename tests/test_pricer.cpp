@@ -11,6 +11,7 @@
 
 #include "amopt/pricing/api.hpp"
 #include "amopt/pricing/bopm.hpp"
+#include "amopt/pricing/bsm_fdm.hpp"
 #include "amopt/pricing/greeks.hpp"
 #include "amopt/pricing/implied_vol.hpp"
 #include "amopt/pricing/pricer.hpp"
@@ -409,23 +410,6 @@ TEST(Pricer, WarmStartImpliedVolConvergesFasterToTheSameRoot) {
   EXPECT_NEAR(warm.implied_vol.vol, ref.vol, 1e-6);
 }
 
-TEST(Pricer, WarmStartDisabledReplaysTheColdIterationExactly) {
-  const std::int64_t T = 256;
-  PricingRequest q;
-  q.spec = paper_spec();
-  q.T = T;
-  q.target_price = bopm::american_call_fft(q.spec, T);
-
-  PricerConfig cfg;
-  cfg.warm_start_iv = false;
-  Pricer session(cfg);
-  const PricingResult first = session.implied_vol_many({&q, 1}).front();
-  const PricingResult second = session.implied_vol_many({&q, 1}).front();
-  EXPECT_EQ(first.implied_vol.vol, second.implied_vol.vol);
-  EXPECT_EQ(first.implied_vol.iterations, second.implied_vol.iterations);
-  EXPECT_EQ(session.stats().warm_roots, 0u);
-}
-
 TEST(Pricer, ImpliedVolOutOfRangeReportsFailedToConverge) {
   PricingRequest q;
   q.spec = paper_spec();
@@ -517,27 +501,29 @@ TEST(Pricer, GreeksUnsupportedOutsideBopmAmericanFft) {
 }
 
 TEST(Pricer, LruEvictionKeepsResultsCorrect) {
-  // Five expiry groups through a registry capped at two: groups rotate out
+  // Three more expiry groups than the base tier holds: groups rotate out
   // and are rebuilt, results never change.
-  PricerConfig cfg;
-  cfg.max_kernel_caches = 2;
-  Pricer session(cfg);
+  const std::size_t groups = Pricer::kBaseKernelCaches + 3;
+  Pricer session;
   std::vector<PricingRequest> reqs;
-  for (double e : {0.25, 0.5, 1.0, 1.5, 2.0}) {
+  for (std::size_t g = 0; g < groups; ++g) {
     PricingRequest q;
     q.spec = paper_spec();
-    q.spec.expiry_years = e;
-    q.T = 256;
+    q.spec.expiry_years = 0.25 + 0.03 * static_cast<double>(g);
+    q.T = 64;
     reqs.push_back(q);
   }
   for (int round = 0; round < 2; ++round) {
     const std::vector<PricingResult> res = session.price_many(reqs);
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       ASSERT_EQ(res[i].status, Status::ok);
-      EXPECT_EQ(res[i].price, bopm::american_call_fft(reqs[i].spec, 256));
+      EXPECT_EQ(res[i].price, bopm::american_call_fft(reqs[i].spec, 64));
     }
   }
-  EXPECT_LE(session.stats().kernel_caches, 2u);
+  const Pricer::Stats st = session.stats();
+  EXPECT_LE(st.kernel_caches, Pricer::kBaseKernelCaches);
+  // More misses than items: the second round rebuilt evicted groups.
+  EXPECT_GT(st.cache_misses, groups);
 }
 
 TEST(Pricer, PerRequestSolverOverride) {
@@ -571,11 +557,7 @@ TEST(Pricer, TransientFloodCannotEvictBaseGroups) {
   // A chain's own tap groups live in the base tier; implied-vol trial
   // evaluations mint transient groups in their own (smaller) LRU. Flooding
   // the session with trial vols must leave every base group warm.
-  PricerConfig cfg;
-  cfg.max_kernel_caches = 8;
-  cfg.max_transient_kernel_caches = 2;
-  cfg.warm_start_iv = false;  // every tick replays the full cold Newton
-  Pricer session(cfg);
+  Pricer session;
 
   std::vector<PricingRequest> chain;
   for (double e : {0.5, 1.0, 2.0}) {
@@ -590,8 +572,9 @@ TEST(Pricer, TransientFloodCannotEvictBaseGroups) {
   const Pricer::Stats warm = session.stats();
   EXPECT_EQ(warm.base_kernel_caches, 3u);
 
-  // Flood: inversions evaluate ~a dozen distinct trial vols each, every one
-  // a distinct tap group.
+  // Flood: the first inversion of each contract is the cold bracketed
+  // Newton, ~a dozen distinct trial vols each, every one a distinct tap
+  // group.
   std::vector<PricingRequest> quotes = chain;
   for (std::size_t i = 0; i < quotes.size(); ++i)
     quotes[i].target_price = priced[i].price * 1.02;
@@ -600,8 +583,11 @@ TEST(Pricer, TransientFloodCannotEvictBaseGroups) {
 
   const Pricer::Stats flooded = session.stats();
   EXPECT_EQ(flooded.base_kernel_caches, 3u);  // base tier untouched
-  EXPECT_LE(flooded.transient_kernel_caches,
-            cfg.max_transient_kernel_caches);
+  // The flood minted more groups than the transient tier holds, so the
+  // tier really cycled.
+  EXPECT_GT(flooded.cache_misses - warm.cache_misses,
+            Pricer::kTransientKernelCaches);
+  EXPECT_LE(flooded.transient_kernel_caches, Pricer::kTransientKernelCaches);
 
   // Repricing the chain hits every base group: zero new misses.
   const std::uint64_t misses_before = flooded.cache_misses;
@@ -615,11 +601,7 @@ TEST(Pricer, TransientGroupPromotedWhenRequestedAsBase) {
   // The converged root vol was evaluated by the inversion, so its tap group
   // sits in the transient tier; a subsequent request QUOTED at that vol
   // must promote the group (hit, not rebuild) into the base tier.
-  PricerConfig cfg;
-  cfg.max_kernel_caches = 8;
-  cfg.max_transient_kernel_caches = 32;  // hold every trial of one Newton
-  cfg.warm_start_iv = false;
-  Pricer session(cfg);
+  Pricer session;
 
   PricingRequest q;
   q.spec = paper_spec();
@@ -828,8 +810,7 @@ TEST(Pricer, ShareQuantumGroupingIsBatchOrderIndependent) {
 TEST(Pricer, GreeksWarmStartReplaysBumpedLegsExactly) {
   // Tick 1 prices every finite-difference leg; tick 2 re-requests the same
   // contracts and must serve the legs from the bumped-price store with
-  // bit-identical results. Opting out re-prices every leg and still agrees
-  // exactly (memoization is exact, not approximate).
+  // bit-identical results (memoization is exact, not approximate).
   std::vector<PricingRequest> chain;
   for (int i = 0; i < 4; ++i) {
     PricingRequest q;
@@ -851,56 +832,47 @@ TEST(Pricer, GreeksWarmStartReplaysBumpedLegsExactly) {
   // No new bumped evaluations were priced on the repeat.
   EXPECT_EQ(after2.warm_bump_prices, after1.warm_bump_prices);
 
-  PricerConfig cold_cfg;
-  cold_cfg.warm_start_greeks = false;
-  Pricer cold(cold_cfg);
-  const auto cold_res = cold.greeks_many(chain);
-  EXPECT_EQ(cold.stats().warm_bump_prices, 0u);
   for (std::size_t i = 0; i < chain.size(); ++i) {
     ASSERT_EQ(tick2[i].status, Status::ok);
     EXPECT_EQ(tick1[i].greeks.vega, tick2[i].greeks.vega) << "item " << i;
     EXPECT_EQ(tick1[i].greeks.rho, tick2[i].greeks.rho);
     EXPECT_EQ(tick1[i].greeks.delta, tick2[i].greeks.delta);
     EXPECT_EQ(tick1[i].price, tick2[i].price);
-    EXPECT_EQ(cold_res[i].greeks.vega, tick1[i].greeks.vega) << "item " << i;
-    EXPECT_EQ(cold_res[i].greeks.rho, tick1[i].greeks.rho);
   }
 }
 
 TEST(Pricer, SpectrumBudgetCapsRegistryBytes) {
-  // A deliberately tiny spectrum budget: pricing a mixed-T batch on the fft
-  // engine materializes more spectra than the cap holds, so the registry
-  // must evict (stats expose it) while every price stays correct — eviction
-  // only forgets warm state.
-  PricerConfig tiny;
-  // Holds a handful of spectra, comfortably above the largest single entry
-  // these T produce (~32 KiB at overlap-save minimal padding) but far below
-  // their total footprint.
-  tiny.max_spectrum_bytes = 100 << 10;
-  Pricer session(tiny);
+  // 32 cold BSM tap groups at T = 8192 hold ~1.3 MiB of spectra each, more
+  // than the fixed registry-wide cap, so the registry must evict (stats
+  // expose it) while every price stays correct — eviction only forgets
+  // warm state.
+  Pricer session;
   std::vector<PricingRequest> reqs;
-  for (const std::int64_t T : {1024LL, 2048LL, 3000LL}) {
+  for (int k = 0; k < 32; ++k) {
     PricingRequest q;
     q.spec = paper_spec();
-    q.T = T;
+    q.spec.V = 0.15 + 0.01 * k;  // 0.15 ... 0.46: one tap group each
+    q.T = 8192;
+    q.model = Model::bsm;
+    q.right = Right::put;
     reqs.push_back(q);
   }
   const auto out = session.price_many(reqs);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     ASSERT_EQ(out[i].status, Status::ok) << out[i].message;
-    const double want = bopm::american_call_fft(reqs[i].spec, reqs[i].T);
-    EXPECT_EQ(out[i].price, want) << "item " << i;
+    EXPECT_EQ(out[i].price, bsm::american_put_fft(reqs[i].spec, reqs[i].T))
+        << "item " << i;
   }
   const Pricer::Stats st = session.stats();
-  EXPECT_LE(st.spectrum_bytes, tiny.max_spectrum_bytes);
+  EXPECT_LE(st.spectrum_bytes, Pricer::kSpectrumBytes);
   EXPECT_GT(st.spectrum_evictions, 0u);
 
-  // Unbounded sessions never evict and report their footprint.
-  PricerConfig unbounded;
-  unbounded.max_spectrum_bytes = 0;
-  Pricer big(unbounded);
-  (void)big.price_many(reqs);
-  EXPECT_EQ(big.stats().spectrum_evictions, 0u);
+  // clear() drops the spectrum tier's counters with the rest of the warm
+  // state.
+  session.clear();
+  const Pricer::Stats cleared = session.stats();
+  EXPECT_EQ(cleared.spectrum_bytes, 0u);
+  EXPECT_EQ(cleared.spectrum_evictions, 0u);
 }
 
 TEST(Pricer, StatusToString) {
@@ -911,42 +883,31 @@ TEST(Pricer, StatusToString) {
   EXPECT_EQ(to_string(Status::overloaded), "overloaded");
 }
 
-TEST(Pricer, ServiceStatsCountBatchesScratchHighWaterAndTrims) {
-  // The admission-control inputs the service plane keys on: batch count,
-  // the arena's true high-water mark (measured BEFORE the between-batches
-  // trim), and how many trims actually released memory.
-  PricerConfig cfg;
-  cfg.threads = 1;  // one thread -> one arena to reason about
-  cfg.scratch_trim_bytes = std::size_t{1} << 12;
-  Pricer session(cfg);
+TEST(Pricer, ServiceStatsCountBatchesAndScratchBytes) {
+  // The admission-control inputs the service plane keys on: the batch
+  // count and the process-wide arena footprint.
+  Pricer session;
   EXPECT_EQ(session.stats().batches, 0u);
-  EXPECT_EQ(session.stats().scratch_high_water_bytes, 0u);
-  EXPECT_EQ(session.stats().scratch_trim_events, 0u);
 
   PricingRequest big;
   big.spec = paper_spec();
-  big.T = 512;  // fft descent: arena grows far beyond the 4 KiB retain
+  big.T = 512;  // fft descent: the serving arena grows
   ASSERT_EQ(session.price_many({&big, 1}).at(0).status, Status::ok);
   const Pricer::Stats st1 = session.stats();
   EXPECT_EQ(st1.batches, 1u);
-  EXPECT_GT(st1.scratch_high_water_bytes, cfg.scratch_trim_bytes)
-      << "high-water mark must be measured before the trim";
-  EXPECT_GE(st1.scratch_trim_events, 1u);
+  EXPECT_GT(st1.scratch_total_bytes, 0u);
 
-  // A smaller batch cannot lower the mark (it is a session-lifetime max),
-  // and every price_many counts, whatever its size.
+  // A smaller batch cannot shrink the footprint (arenas only grow), and
+  // every price_many counts, whatever its size.
   PricingRequest small = big;
   small.T = 64;
   ASSERT_EQ(session.price_many({&small, 1}).at(0).status, Status::ok);
   const Pricer::Stats st2 = session.stats();
   EXPECT_EQ(st2.batches, 2u);
-  EXPECT_GE(st2.scratch_high_water_bytes, st1.scratch_high_water_bytes);
+  EXPECT_GE(st2.scratch_total_bytes, st1.scratch_total_bytes);
 
   session.clear();
-  const Pricer::Stats st3 = session.stats();
-  EXPECT_EQ(st3.batches, 0u);
-  EXPECT_EQ(st3.scratch_high_water_bytes, 0u);
-  EXPECT_EQ(st3.scratch_trim_events, 0u);
+  EXPECT_EQ(session.stats().batches, 0u);
 }
 
 }  // namespace

@@ -160,7 +160,7 @@ TEST(Server, AdmissionControlRejectsWithRetryHintInsteadOfQueueing) {
   const std::vector<PricingResult> first = server.price({&q, 1});
   ASSERT_EQ(first.at(0).status, Status::ok);
 
-  // By completion the shard has published its scratch high-water mark, so
+  // By completion the shard has published its scratch footprint, so
   // the next submission must bounce with a retry hint — deterministically,
   // because stats are published before completion is signalled.
   const std::vector<PricingResult> second = server.price({&q, 1});
@@ -172,7 +172,7 @@ TEST(Server, AdmissionControlRejectsWithRetryHintInsteadOfQueueing) {
   EXPECT_EQ(st.submitted, 1u);
   EXPECT_EQ(st.rejected, 1u);
   ASSERT_EQ(st.shard.size(), 1u);
-  EXPECT_GT(st.shard[0].scratch_high_water_bytes, 1u);
+  EXPECT_GT(st.shard[0].scratch_total_bytes, 1u);
 }
 
 TEST(Server, QueueBoundRejectsWhenDepthCapIsZeroedDown) {

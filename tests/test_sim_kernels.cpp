@@ -82,24 +82,6 @@ TEST(SimKernels, FftAccessesScaleSubQuadratically) {
   EXPECT_LT(ratio, 3.0);  // T log^2 T doubles-ish, far from 4x
 }
 
-TEST(SimKernels, R2CConvolutionModelTouchesLessThanPackedModel) {
-  // The production pipeline runs three half-size complex transforms where
-  // the packed-complex trick ran two full-size ones; the retuned replay
-  // must reflect that saving instead of replaying the legacy upper bound.
-  const std::size_t n = 4096;
-  const CacheStats r2c = simulate_fft_convolution(n, n, 2 * n - 1);
-  const CacheStats packed =
-      simulate_fft_convolution(n, n, 2 * n - 1, /*packed=*/true);
-  EXPECT_LT(r2c.accesses, packed.accesses);
-  // 3 transforms of size m = n vs 2 of size 2n: butterfly traffic ratio
-  // 3*m*log m / (2*2m*(log m + 1)) ~ 0.7; padding/untangle overheads keep
-  // the total inside a generous band around it.
-  const double ratio = static_cast<double>(r2c.accesses) /
-                       static_cast<double>(packed.accesses);
-  EXPECT_GT(ratio, 0.45);
-  EXPECT_LT(ratio, 0.95);
-}
-
 TEST(SimKernels, R2CConvolutionModelParityWithMeasuredTraffic) {
   // Hold the replay against the real pipeline's own traffic accounting
   // (metrics::add_bytes in conv::real_convolve_into): the replay counts

@@ -1,7 +1,7 @@
 // Unit tests for the execution plane (core::TaskPool): fork/join
 // correctness of invoke2 and the counter-scheduled for_each, exception
 // propagation across task boundaries, nested forks, width retargeting,
-// detached tasks, and the per-worker broadcast hook. Everything here must
+// and detached tasks. Everything here must
 // hold at any pool width — including width 1, where the pool degrades to
 // plain inline calls — so several cases sweep widths explicitly.
 
@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <latch>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -188,25 +189,28 @@ TEST(TaskPool, ForEachCoversEveryIndexExactlyOnce) {
   }
 }
 
-TEST(TaskPool, ForEachRunsEpiloguePerExecutorAndHonorsMaxWidth) {
+TEST(TaskPool, ForEachHonorsMaxWidth) {
   ThreadScope scope(8);
-  std::atomic<int> epilogues{0};
+  // Each executor's first index waits until a second executor has one too,
+  // so the caller cannot finish the map before the helper starts: exactly
+  // the caller and one helper run, however the threads are scheduled.
+  std::latch both_in(2);
   std::mutex mu;
   std::set<std::thread::id> executors;
   TaskPool::instance().for_each(
       256,
       [&](std::size_t) {
-        std::lock_guard<std::mutex> lock(mu);
-        executors.insert(std::this_thread::get_id());
+        bool first = false;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          first = executors.insert(std::this_thread::get_id()).second &&
+                  executors.size() <= 2;
+        }
+        if (first) both_in.arrive_and_wait();
       },
-      [&] { epilogues.fetch_add(1, std::memory_order_relaxed); },
       /*max_width=*/2);
-  // At most two executors (the caller and one helper); every executor —
-  // even one whose submission was dropped on a full queue — runs the
-  // epilogue exactly once, so epilogues == executors that actually ran.
-  EXPECT_LE(executors.size(), 2u);
-  EXPECT_GE(epilogues.load(), 1);
-  EXPECT_LE(epilogues.load(), 2);
+  EXPECT_EQ(executors.size(), 2u);
+  EXPECT_EQ(executors.count(std::this_thread::get_id()), 1u);
 }
 
 TEST(TaskPool, ForEachPropagatesBodyException) {
@@ -232,36 +236,25 @@ TEST(TaskPool, SetConcurrencyClampsToValidRange) {
 }
 
 TEST(TaskPool, OnWorkerIsFalseOnCallerTrueOnWorkers) {
-  ThreadScope scope(4);
+  constexpr int kWidth = 4;
+  ThreadScope scope(kWidth);
   EXPECT_FALSE(TaskPool::on_worker());
   EXPECT_FALSE(in_parallel_region());
-  std::atomic<int> counters[2] = {{0}, {0}};  // [0] on-worker, [1] not
-  TaskPool::instance().run_on_workers(
-      [](void* p) {
-        auto* c = static_cast<std::atomic<int>*>(p);
-        c[TaskPool::on_worker() ? 0 : 1].fetch_add(1,
-                                                   std::memory_order_relaxed);
-      },
-      counters);
-  EXPECT_EQ(counters[0].load(), 3);  // width 4 = caller + 3 workers
-  EXPECT_EQ(counters[1].load(), 0);
-}
-
-TEST(TaskPool, RunOnWorkersVisitsDistinctThreads) {
-  ThreadScope scope(4);
-  struct Ctx {
-    std::mutex mu;
-    std::set<std::thread::id> ids;
-  } ctx;
-  TaskPool::instance().run_on_workers(
-      [](void* p) {
-        auto* c = static_cast<Ctx*>(p);
-        std::lock_guard<std::mutex> lock(c->mu);
-        c->ids.insert(std::this_thread::get_id());
-      },
-      &ctx);
-  EXPECT_EQ(ctx.ids.size(), 3u);
-  EXPECT_EQ(ctx.ids.count(std::this_thread::get_id()), 0u);
+  // Every executor holds its first index until all kWidth indices are
+  // taken, so the caller and each of the 3 active workers run exactly one,
+  // each on its own thread.
+  std::latch all_in(kWidth);
+  std::mutex mu;
+  std::set<std::thread::id> on_worker, off_worker;
+  TaskPool::instance().for_each(kWidth, [&](std::size_t) {
+    all_in.arrive_and_wait();
+    std::lock_guard<std::mutex> lock(mu);
+    (TaskPool::on_worker() ? on_worker : off_worker)
+        .insert(std::this_thread::get_id());
+  });
+  EXPECT_EQ(on_worker.size(), 3u);  // width 4 = caller + 3 workers
+  ASSERT_EQ(off_worker.size(), 1u);
+  EXPECT_EQ(off_worker.count(std::this_thread::get_id()), 1u);
 }
 
 TEST(TaskPool, DetachedTaskRunsEvenAtWidthOne) {
