@@ -17,7 +17,9 @@
 //     one correlation with the h-step kernel (FFT);
 //   * repeat for the second half. Base case: naive projection loop.
 // Margin requirement kr - f >= 2L; the right edge erodes by one cell per
-// step (the solution cone), which the top-level driver pre-pads for.
+// step (the solution cone). The BSM driver stores exactly the cone of its
+// read cells, which also meets the margin at every top-level advance
+// (bsm::make_layout).
 
 #include <cstdint>
 #include <memory>

@@ -6,14 +6,16 @@
 // first and otherwise falls back to a documented linear model driven by the
 // library's operation counters:
 //
-//     E_pkg = e_flop * flops + P_pkg_static * t
-//     E_ram = e_byte * bytes + P_ram_static * t
+//     E_pkg = e_flop * flops
+//     E_ram = e_byte * bytes
 //
-// The model's purpose is to preserve the figure's *shape* (energy tracks
-// work, so the Θ(T^2) vs O(T log^2 T) gap appears); absolute joules are not
+// A sample depends only on the counted work, never on wall time: the same
+// work always models the same joules, however loaded the host is. The
+// model's purpose is to preserve the figure's *shape* (energy tracks work,
+// so the Θ(T^2) vs O(T log^2 T) gap appears); absolute joules are not
 // claims. Coefficients are order-of-magnitude values for a Skylake-class
 // server part (~0.5 nJ per double-precision op including core overheads,
-// ~30 pJ per DRAM byte, plus static power shares).
+// ~30 pJ per DRAM byte).
 
 #include <cstdint>
 #include <string>
@@ -33,8 +35,6 @@ struct EnergySample {
 struct EnergyModel {
   double joules_per_flop = 0.5e-9;
   double joules_per_byte = 30e-12;
-  double pkg_static_watts = 20.0;
-  double ram_static_watts = 3.0;
 };
 
 class EnergyMeter {
@@ -58,7 +58,6 @@ class EnergyMeter {
   std::vector<Domain> domains_;
   EnergyModel model_;
   OpSnapshot ops_start_{};
-  double wall_start_ = 0.0;
 };
 
 }  // namespace amopt::metrics

@@ -30,10 +30,13 @@ class PutGreen final : public core::FdmGreen {
   std::int64_t span_;
 };
 
-/// Geometry of the solution cone: the apex sits at k* ~ ln(S/K)/ds and the
-/// base row (n = 0, tau = 0) is wide enough for both the cone and the
-/// 2L-margin the trapezoid recursion needs.
+/// Geometry of the solution cone: the apex sits at k* ~ ln(S/K)/ds, and the
+/// base row (n = 0, tau = 0) stores exactly the cone of the two read cells
+/// plus `kPad` spare cells: kr0 = T + max(k_read + 1, 1) + kPad. That width
+/// also covers the trapezoid recursion's margin kr - f >= 2L at every
+/// top-level advance (DESIGN §1.1).
 struct FdmLayout {
+  static constexpr std::int64_t kPad = 4;  ///< spare cells right of the cone
   std::int64_t k_read = 0;   ///< floor(s*/ds): price read between k_read, k_read+1
   double theta = 0.0;        ///< interpolation weight toward k_read+1
   std::int64_t kr0 = 0;      ///< right edge of the stored red region at n=0

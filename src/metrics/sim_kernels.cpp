@@ -473,8 +473,7 @@ struct FdmReplay {
     std::int64_t n = 0, kr = kr0, remaining = T;
     const std::int64_t tail = std::max<std::int64_t>(base_case, 8);
     while (remaining > tail) {
-      std::int64_t L = (remaining + 1) / 2;
-      L = std::min(L, (kr - f[static_cast<std::size_t>(n)]) / 2);
+      const std::int64_t L = (remaining + 1) / 2;
       solve(n, f[static_cast<std::size_t>(n)], kr, L);
       n += L;
       kr -= L;
@@ -546,7 +545,9 @@ CacheStats simulate_kernel(SimAlg alg, const OptionSpec& spec,
       break;
     case SimAlg::bsm_fft: {
       const auto f = pricing::bsm::exercise_boundary_vanilla(spec, T);
-      FdmReplay{sim, fr, f, 10, {}, {}}.run(T, 2 * T);
+      const std::int64_t kr0 =
+          pricing::bsm::make_layout(pricing::derive_bsm(spec, T)).kr0;
+      FdmReplay{sim, fr, f, 10, {}, {}}.run(T, kr0);
       break;
     }
   }

@@ -12,7 +12,7 @@ namespace amopt::pricing::bsm {
 
 namespace {
 
-constexpr std::int64_t kPad = 4;
+constexpr std::int64_t kPad = FdmLayout::kPad;
 
 /// Naive-projection tail length at the apex of the solution cone.
 [[nodiscard]] std::int64_t tail_steps(const core::SolverConfig& cfg) {
@@ -34,9 +34,11 @@ FdmLayout make_layout(const BsmParams& prm) {
   const double k_real = prm.s_target / prm.ds;
   lay.k_read = static_cast<std::int64_t>(std::floor(k_real));
   lay.theta = k_real - static_cast<double>(lay.k_read);
-  // Need: margin kr0 - f0 >= 2T for the recursion (f0 = 0) and
-  // kr0 - T >= k_read + 1 + pad so the read cells survive the cone erosion.
-  lay.kr0 = std::max<std::int64_t>(2 * prm.T, lay.k_read + 1 + prm.T + kPad);
+  // The right edge erodes one cell per step, so kr0 - T >= k_read + 1 keeps
+  // both read cells. The driver's advances need kr - f >= remaining + 1 with
+  // kr = kr0 - n and f <= 0, which kr0 >= T + 1 covers; the max() covers
+  // deep-ITM reads (k_read < 0).
+  lay.kr0 = prm.T + std::max<std::int64_t>(lay.k_read + 1, 1) + kPad;
   return lay;
 }
 
@@ -64,9 +66,8 @@ double american_put_fft(const OptionSpec& spec, std::int64_t T,
   }
   const std::int64_t tail = tail_steps(cfg);
   while (remaining > tail) {
-    std::int64_t L = (remaining + 1) / 2;
-    L = std::min(L, (row.kr - row.f) / 2);
-    AMOPT_ENSURES(L >= 1);
+    // The layout keeps kr - f >= remaining + 1 >= 2L here (make_layout).
+    const std::int64_t L = (remaining + 1) / 2;
     row = solver.advance(std::move(row), L);
     remaining -= L;
   }

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "amopt/core/task_pool.hpp"
 #include "amopt/pricing/black_scholes.hpp"
 #include "amopt/pricing/bopm.hpp"
 #include "amopt/pricing/bsm_fdm.hpp"
@@ -47,6 +50,14 @@ INSTANTIATE_TEST_SUITE_P(
         GridCase{127.62, 130, 0.00163, 0.2, 0.0163, 100},
         GridCase{127.62, 130, 0.00163, 0.2, 0.0163, 1000},
         GridCase{127.62, 130, 0.00163, 0.2, 0.0163, 2048},
+        // short and odd T: narrow base rows, advances of every parity
+        GridCase{127.62, 130, 0.00163, 0.2, 0.0163, 1},
+        GridCase{127.62, 130, 0.00163, 0.2, 0.0163, 2},
+        GridCase{127.62, 130, 0.00163, 0.2, 0.0163, 3},
+        GridCase{127.62, 130, 0.00163, 0.2, 0.0163, 17},
+        GridCase{127.62, 130, 0.00163, 0.2, 0.0163, 1023},
+        GridCase{127.62, 130, 0.00163, 0.2, 0.0163, 1025},
+        GridCase{127.62, 130, 0.00163, 0.2, 0.0163, 4096},
         // no dividend (the paper's literal Eq. 5 setting)
         GridCase{127.62, 130, 0.00163, 0.2, 0.0, 1000},
         GridCase{100, 100, 0.05, 0.3, 0.0, 777},
@@ -55,6 +66,11 @@ INSTANTIATE_TEST_SUITE_P(
         // deep in/out of the money
         GridCase{60, 100, 0.04, 0.25, 0.0, 512},
         GridCase{160, 100, 0.04, 0.25, 0.0, 512},
+        // deep ITM, k_read < 0 (the base row is T + 1 + pad wide): with
+        // Y > R the boundary jumps far left and the read cells are red,
+        // with R > Y they stay green
+        GridCase{30, 100, 0.01, 0.3, 0.2, 512},
+        GridCase{30, 100, 0.2, 0.3, 0.01, 512},
         // high/low vol
         GridCase{100, 100, 0.03, 0.7, 0.02, 512},
         GridCase{100, 100, 0.03, 0.08, 0.02, 512}));
@@ -124,15 +140,50 @@ TEST(BsmBoundary, StartsAtPayoffKink) {
 }
 
 TEST(BsmLayout, ReadCellsCoverTarget) {
-  const OptionSpec spec = paper_spec();
-  const auto prm = derive_bsm(spec, 512);
-  const auto lay = bsm::make_layout(prm);
-  EXPECT_GE(lay.theta, 0.0);
-  EXPECT_LT(lay.theta, 1.0);
-  const double s_back =
-      (static_cast<double>(lay.k_read) + lay.theta) * prm.ds;
-  EXPECT_NEAR(s_back, prm.s_target, 1e-12);
-  EXPECT_GE(lay.kr0 - prm.T, lay.k_read + 1);
+  // Near the money, deep ITM (k_read < 0) and deep OTM.
+  for (const double S : {127.62, 30.0, 400.0}) {
+    OptionSpec spec = paper_spec();
+    spec.S = S;
+    const auto prm = derive_bsm(spec, 512);
+    const auto lay = bsm::make_layout(prm);
+    EXPECT_GE(lay.theta, 0.0) << "S=" << S;
+    EXPECT_LT(lay.theta, 1.0) << "S=" << S;
+    const double s_back =
+        (static_cast<double>(lay.k_read) + lay.theta) * prm.ds;
+    EXPECT_NEAR(s_back, prm.s_target, 1e-12) << "S=" << S;
+    // Both read cells survive T steps of cone erosion, and kr0 >= T + 1
+    // keeps every top-level advance's 2L margin.
+    const std::int64_t cone = std::max<std::int64_t>(lay.k_read + 1, 1);
+    EXPECT_GE(lay.kr0 - prm.T, cone) << "S=" << S;
+    // ... and the base row stores no more than that cone plus the pad (a
+    // 2T-wide row fails this near the money and deep ITM).
+    EXPECT_LE(lay.kr0 - prm.T - cone, bsm::FdmLayout::kPad) << "S=" << S;
+  }
+}
+
+TEST(BsmPutGreen, EveryReadEqualsTheClosedForm) {
+  const double ds = derive_bsm(paper_spec(), 8192).ds;
+  const std::int64_t span = 8192;
+  const bsm::PutGreen green(ds, span);
+  const auto exact = [&](std::int64_t k) {
+    return -std::expm1(static_cast<double>(k) * ds);
+  };
+  // Four executors read every slot at once (the TSan job runs this at pool
+  // widths 2 and 4) ...
+  std::vector<std::int64_t> wrong(4, 0);
+  core::TaskPool::instance().for_each(
+      4,
+      [&](std::size_t i) {
+        for (std::int64_t k = -span; k <= span; ++k)
+          if (green.value(0, k) != exact(k)) ++wrong[i];
+      },
+      4);
+  EXPECT_EQ(wrong, std::vector<std::int64_t>(4, 0));
+  // ... then one thread reads every slot back, and k outside the span.
+  for (std::int64_t k = -span; k <= span; ++k)
+    EXPECT_EQ(green.value(0, k), exact(k)) << "k=" << k;
+  for (const std::int64_t k : {-span - 1, span + 1, -7 * span, 7 * span})
+    EXPECT_EQ(green.value(0, k), exact(k)) << "k=" << k;
 }
 
 TEST(BsmVanilla, SerialAndParallelAgree) {

@@ -842,17 +842,17 @@ TEST(Pricer, GreeksWarmStartReplaysBumpedLegsExactly) {
 }
 
 TEST(Pricer, SpectrumBudgetCapsRegistryBytes) {
-  // 32 cold BSM tap groups at T = 8192 hold ~1.3 MiB of spectra each, more
-  // than the fixed registry-wide cap, so the registry must evict (stats
-  // expose it) while every price stays correct — eviction only forgets
-  // warm state.
+  // 32 cold BSM tap groups at T = 16384 hold ~1.76 MiB of spectra each
+  // (~56 MiB in all), more than the fixed registry-wide cap, so the registry
+  // must evict (stats expose it) while every price stays correct — eviction
+  // only forgets warm state.
   Pricer session;
   std::vector<PricingRequest> reqs;
   for (int k = 0; k < 32; ++k) {
     PricingRequest q;
     q.spec = paper_spec();
     q.spec.V = 0.15 + 0.01 * k;  // 0.15 ... 0.46: one tap group each
-    q.T = 8192;
+    q.T = 16384;
     q.model = Model::bsm;
     q.right = Right::put;
     reqs.push_back(q);
