@@ -71,15 +71,16 @@ class SpectrumBudget {
   /// cache's map entry, so a warm hit refreshes its LRU position with ONE
   /// relaxed store — no budget mutex, no entry scan — keeping the hot
   /// spectrum path as lock-free as the power() snapshot beside it. The
-  /// mutex guards only the entry list itself (admit / evict / forget /
+  /// mutex guards only the entry heap itself (admit / evict / forget /
   /// stats).
   using Tick = std::shared_ptr<std::atomic<std::uint64_t>>;
   [[nodiscard]] std::uint64_t next_tick() noexcept {
     return tick_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// Admit `key` of `owner` at `bytes`; evicts LRU entries of any
-  /// registered cache until the total fits the cap again.
+  /// Admit `key` of `owner` at `bytes` — once per spectrum a cache
+  /// inserts; evicts LRU entries of any registered cache until the total
+  /// fits the cap again.
   void admit(KernelCache* owner, std::uint64_t key, std::size_t bytes,
              const Tick& tick);
   /// Drop every entry owned by `owner` (cache destruction / clear).
@@ -90,14 +91,23 @@ class SpectrumBudget {
     std::uint64_t key;
     std::size_t bytes;
     Tick tick;
+    std::uint64_t stamp;  ///< *tick when last (re)pushed: the heap key
   };
+  /// Min-heap order on `stamp`.
+  static bool newer(const Entry& a, const Entry& b) noexcept {
+    return a.stamp > b.stamp;
+  }
 
   mutable std::mutex mu_;
   std::size_t max_bytes_;
   std::size_t bytes_ = 0;
   std::atomic<std::uint64_t> tick_{0};
   std::uint64_t evictions_ = 0;
-  std::vector<Entry> entries_;
+  /// A refresh only raises a tick, so a stamp never exceeds its entry's
+  /// live tick (racing refreshes aside, which reorder LRU neighbours under
+  /// any scheme): a top whose stamp still equals its tick is the exact LRU
+  /// entry, and a stale top is re-pushed under its live tick.
+  std::vector<Entry> heap_;
 };
 
 class KernelCache {

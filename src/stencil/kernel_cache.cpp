@@ -31,40 +31,46 @@ namespace {
 void SpectrumBudget::admit(KernelCache* owner, std::uint64_t key,
                            std::size_t bytes, const Tick& tick) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (Entry& e : entries_) {
-    if (e.owner == owner && e.key == key) return;  // lost an insert race
-  }
-  entries_.push_back({owner, key, bytes, tick});
+  heap_.push_back(
+      {owner, key, bytes, tick, tick->load(std::memory_order_relaxed)});
+  std::push_heap(heap_.begin(), heap_.end(), newer);
   bytes_ += bytes;
-  while (bytes_ > max_bytes_ && entries_.size() > 1) {
-    const auto victim = std::min_element(
-        entries_.begin(), entries_.end(), [](const Entry& a, const Entry& b) {
-          return a.tick->load(std::memory_order_relaxed) <
-                 b.tick->load(std::memory_order_relaxed);
-        });
+  while (bytes_ > max_bytes_ && heap_.size() > 1) {
+    std::pop_heap(heap_.begin(), heap_.end(), newer);
+    Entry& lru = heap_.back();
+    const std::uint64_t live = lru.tick->load(std::memory_order_relaxed);
+    if (live != lru.stamp) {  // touched since it was pushed: re-key it
+      lru.stamp = live;
+      std::push_heap(heap_.begin(), heap_.end(), newer);
+      continue;
+    }
     // Never evict what we just admitted — the caller is about to use it.
-    if (victim->owner == owner && victim->key == key) break;
-    victim->owner->evict_spectrum(victim->key);
-    bytes_ -= victim->bytes;
+    if (lru.owner == owner && lru.key == key) {
+      std::push_heap(heap_.begin(), heap_.end(), newer);
+      break;
+    }
+    lru.owner->evict_spectrum(lru.key);
+    bytes_ -= lru.bytes;
     ++evictions_;
-    entries_.erase(victim);
+    heap_.pop_back();
   }
 }
 
 void SpectrumBudget::forget(KernelCache* owner) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::erase_if(entries_, [&](const Entry& e) {
+  std::erase_if(heap_, [&](const Entry& e) {
     if (e.owner != owner) return false;
     bytes_ -= e.bytes;
     return true;
   });
+  std::make_heap(heap_.begin(), heap_.end(), newer);
 }
 
 SpectrumBudget::Stats SpectrumBudget::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s;
   s.bytes = bytes_;
-  s.entries = entries_.size();
+  s.entries = heap_.size();
   s.evictions = evictions_;
   return s;
 }
@@ -173,14 +179,14 @@ std::shared_ptr<const fft::RealSpectrum> KernelCache::power_spectrum(
         budget_->next_tick());
   }
   std::shared_ptr<const fft::RealSpectrum> out;
-  SpectrumBudget::Tick tick;
+  SpectrumBudget::Tick tick;  // set only if this call inserted the entry
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     auto [it, inserted] = spectra_.emplace(key, std::move(entry));
     out = it->second.spec;
-    tick = it->second.tick;
+    if (inserted) tick = it->second.tick;
   }
-  if (budget_ && tick) budget_->admit(this, key, spectrum_bytes_of(*out), tick);
+  if (tick) budget_->admit(this, key, spectrum_bytes_of(*out), tick);
   return out;
 }
 

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
+#include <vector>
 
+#include "amopt/common/parallel.hpp"
 #include "amopt/metrics/counters.hpp"
 #include "amopt/metrics/energy.hpp"
 #include "amopt/pricing/bopm.hpp"
@@ -47,6 +50,54 @@ TEST(Counters, PricersCountWork) {
   // Figure-1 loop does ~3*T^2/2 flops.
   EXPECT_NEAR(static_cast<double>(after_vanilla.flops), 1.5 * 512.0 * 512.0,
               0.5 * 512.0 * 512.0);
+}
+
+TEST(Counters, ExitedThreadsKeepTheirCounts) {
+  // Each thread counts into its own slot; when it exits the slot folds into
+  // the retired total, so the joined threads' counts are all still there.
+  const OpSnapshot before = snapshot();
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 1; t <= 4; ++t) {
+    threads.emplace_back([t] {
+      for (int i = 0; i < 1000; ++i) {
+        add_flops(t);
+        add_bytes(8 * t);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const OpSnapshot d = delta(before, snapshot());
+  EXPECT_EQ(d.flops, 1000u * (1 + 2 + 3 + 4));
+  EXPECT_EQ(d.bytes, 8000u * (1 + 2 + 3 + 4));
+}
+
+TEST(Counters, ResetZeroesCountsOfExitedThreads) {
+  std::thread([] {
+    add_flops(123);
+    add_bytes(456);
+  }).join();
+  EXPECT_GE(snapshot().flops, 123u);
+  reset_counters();
+  const OpSnapshot s = snapshot();
+  EXPECT_EQ(s.flops, 0u);
+  EXPECT_EQ(s.bytes, 0u);
+}
+
+TEST(Counters, SolveCountsTheSameAtEveryWidth) {
+  // The pool's workers count into their own slots; the join makes their
+  // counts visible, so a forked solve counts exactly what a serial one does.
+  const auto spec = pricing::paper_spec();
+  const auto count_solve = [&](int width) {
+    ThreadScope scope(width);
+    const OpSnapshot before = snapshot();
+    (void)pricing::bopm::american_call_fft(spec, 4096);
+    return delta(before, snapshot());
+  };
+  const OpSnapshot serial = count_solve(1);
+  const OpSnapshot forked = count_solve(4);
+  EXPECT_GT(serial.flops, 0u);
+  EXPECT_EQ(forked.flops, serial.flops);
+  EXPECT_EQ(forked.bytes, serial.bytes);
 }
 
 TEST(EnergyModel, ModeledEnergyTracksCountedWork) {
