@@ -12,8 +12,10 @@
 // per-path pairs the guard holds against each other: BM_CorrelateSpectral
 // (cached kernel spectrum) vs BM_CorrelateValidWorkspace (transform per
 // call), BM_PolyPowerFft (aliased csquare squarings) vs its two-transform
-// reference, and BM_KernelLadderDescent (shared squaring ladder) vs
-// BM_KernelPowersUnshared.
+// reference, BM_KernelLadderDescent (shared squaring ladder) vs
+// BM_KernelPowersUnshared, and BM_KernelSpectrumFromTaps (a cold kernel
+// spectrum raised bin by bin from the taps) vs BM_KernelSpectrumViaPower
+// (time-domain power, then its transform).
 //
 // The binary writes its results to BENCH_fft.json by default (benchmark's
 // own JSON format) so perf can be diffed across commits; set
@@ -427,6 +429,38 @@ void BM_KernelPowersUnsharedPath(benchmark::State& state,
   }
 }
 
+// One cold tap group's kernel spectrum, built two ways for taps
+// {0.24, 0.5, 0.25} at h = n/4 (the kernel fills half the padded size, as at
+// a descent's top levels): a fresh KernelCache, whose spectrum tier raises
+// each bin R(w_k)^h straight from the taps, against the time-domain route
+// the tier used to take — poly::power, then the reversed R2C transform.
+void BM_KernelSpectrumFromTapsPath(benchmark::State& state,
+                                   amopt::simd::Level lvl) {
+  const LevelScope scope(lvl);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    amopt::stencil::KernelCache cache({{0.24, 0.50, 0.25}, 0});
+    const auto spec = cache.power_spectrum(n / 4, n);
+    benchmark::DoNotOptimize(spec->bins.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_KernelSpectrumViaPowerPath(benchmark::State& state,
+                                   amopt::simd::Level lvl) {
+  const LevelScope scope(lvl);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::vector<double> taps{0.24, 0.50, 0.25};
+  amopt::conv::Workspace ws;
+  for (auto _ : state) {
+    const auto power = amopt::poly::power(taps, n / 4, ws);
+    const auto spec =
+        amopt::conv::kernel_spectrum(power, n, /*reversed=*/true, ws);
+    benchmark::DoNotOptimize(spec.bins.data());
+    benchmark::ClobberMemory();
+  }
+}
+
 void register_per_path_benches() {
   using amopt::simd::Level;
   for (const Level lvl : {Level::scalar, Level::avx2, Level::avx512}) {
@@ -482,6 +516,14 @@ void register_per_path_benches() {
                                  BM_KernelPowersUnsharedPath, lvl)
         ->RangeMultiplier(4)
         ->Range(1 << 10, 1 << 14);
+    benchmark::RegisterBenchmark(("BM_KernelSpectrumFromTaps" + tag).c_str(),
+                                 BM_KernelSpectrumFromTapsPath, lvl)
+        ->RangeMultiplier(4)
+        ->Range(1 << 10, 1 << 16);
+    benchmark::RegisterBenchmark(("BM_KernelSpectrumViaPower" + tag).c_str(),
+                                 BM_KernelSpectrumViaPowerPath, lvl)
+        ->RangeMultiplier(4)
+        ->Range(1 << 10, 1 << 16);
   }
 }
 

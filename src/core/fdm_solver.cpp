@@ -237,21 +237,21 @@ std::int64_t FdmSolver::solve(std::int64_t n0, std::int64_t f0,
   const bool spawn = cfg_.parallel && h >= kTaskCutoff;
 
   // The h-step correlation over the provably-red cells. Same spectral
-  // routing as LatticeSolver::run_conv: FFT-path sweeps consume the cache's
-  // reversed kernel spectrum and skip its transform.
+  // routing as LatticeSolver::run_conv: the 3-tap kernel's length 2h + 1 is
+  // known without materializing it, so FFT-path sweeps consume the cache's
+  // reversed kernel spectrum and never touch the time-domain tier.
   const auto correlate_into = [&](std::span<double> conv_out) {
     if (conv_out.empty()) return;
-    const std::span<const double> kernel =
-        kernels_->power(static_cast<std::uint64_t>(h));
-    if (conv::correlate_prefers_fft(conv_out.size(), kernel.size(),
-                                    conv::Policy{})) {
+    const std::size_t klen = static_cast<std::size_t>(2 * h + 1);
+    if (conv::correlate_prefers_fft(conv_out.size(), klen, conv::Policy{})) {
       const auto spec = kernels_->power_spectrum(
           static_cast<std::uint64_t>(h),
-          conv::correlate_fft_size(conv_out.size(), kernel.size()));
+          conv::correlate_fft_size(conv_out.size(), klen));
       conv::correlate_valid(in, *spec, conv_out, conv::thread_workspace());
       return;
     }
-    conv::correlate_valid(in, kernel, conv_out);
+    conv::correlate_valid(in, kernels_->power(static_cast<std::uint64_t>(h)),
+                          conv_out);
   };
 
   // One arena row with base f0 - h (the lowest reachable f_mid) covering

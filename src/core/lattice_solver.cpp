@@ -129,11 +129,10 @@ void LatticeSolver::run_conv(std::span<const double> main,
   // The kernel length is known without materializing the kernel
   // (taps^h has g*h + 1 coefficients), so the FFT path never touches the
   // time-domain tier at all. FFT-path convolutions consume the cache's
-  // ready-made kernel spectrum (2 transforms per call instead of 3);
-  // repeated trapezoids at the same (height, padded size) — within this
-  // pricing and across every pricing sharing the cache — pay the kernel
-  // transform once. Same bits as the transform-per-call path, so this is
-  // pure work elision.
+  // ready-made kernel spectrum (2 transforms per call instead of 3), built
+  // straight from the taps; repeated trapezoids at the same (height,
+  // padded size) — within this pricing and across every pricing sharing
+  // the cache — build it once.
   const std::size_t klen = static_cast<std::size_t>(g_ * h + 1);
   if (conv::correlate_prefers_fft(out.size(), klen, conv::Policy{})) {
     const auto spec = kernels_->power_spectrum(

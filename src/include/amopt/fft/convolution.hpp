@@ -144,11 +144,14 @@ void correlate_valid(std::span<const double> main, std::span<const double> tail,
 // call (3 half-size transforms per convolution). When the same kernel is
 // applied repeatedly at one padded size — every trapezoid of a descent at
 // the same recursion depth, every squaring rung of a kernel ladder — the
-// kernel's spectrum can be computed once (`kernel_spectrum`, or the
-// stencil::KernelCache spectrum tier) and passed to the overloads below,
-// which then cost 2 transforms per call. Results are bit-identical to the
-// transform-per-call path at the same dispatch level: the cached bins are
-// the same bins the in-call transform would produce.
+// kernel's spectrum can be computed once and passed to the overloads below,
+// which then cost 2 transforms per call. A `kernel_spectrum` spectrum holds
+// the bins the in-call transform would produce, so with it results are
+// bit-identical to the transform-per-call path at the same dispatch level.
+// The stencil::KernelCache spectrum tier does not transform: it raises each
+// bin straight from the stencil taps, so its bins are not the in-call
+// transform's bits but agree with them to about h * eps of the largest bin
+// (h the kernel's step count).
 
 /// Whether `correlate_valid` with these lengths would take the real-input
 /// FFT path (false for the direct crossover).

@@ -126,6 +126,13 @@ class RealPlan {
   void spectrum(std::span<const double> signal, bool reversed,
                 std::span<double> pad, RealSpectrum& spec) const;
 
+  /// The quarter circle of roots t_k = e^{-2 pi i k / n}, k in [0, n/4]
+  /// (empty when n < 4): the untangle twiddles, and the roots
+  /// simd::Kernels::tap_power_bins evaluates kernel spectra at.
+  [[nodiscard]] std::span<const cplx> quarter_roots() const noexcept {
+    return twiddle_;
+  }
+
  private:
   std::size_t n_;
   std::size_t m_;       ///< n/2 (0 when n == 1)

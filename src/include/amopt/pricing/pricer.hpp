@@ -224,9 +224,12 @@ class Pricer {
                                    Tier tier);
 
   struct Entry;
-  /// Drop the least-recently-used entry of `tier` if it exceeds `cap`.
-  /// Caller holds mu_.
-  static void evict_lru(std::vector<Entry>& tier, std::size_t cap);
+  /// Drop the least-recently-used entry of `tier` if it exceeds `cap`, and
+  /// hand its cache back (null if nothing was dropped). Caller holds mu_
+  /// and releases the returned pointer only after mu_: a cache's
+  /// destructor frees all of its powers and spectra.
+  [[nodiscard]] static CachePtr evict_lru(std::vector<Entry>& tier,
+                                          std::size_t cap);
 
   /// Find-or-create the session's boundary-engine node table for the
   /// config's (alo_nodes, alo_quad); thread-safe. Lives next to the kernel

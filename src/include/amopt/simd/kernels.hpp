@@ -119,6 +119,22 @@ struct Kernels {
   /// The C2R retangle pair loop of RealPlan::inverse (same index ranges).
   void (*rfft_retangle)(cplx* spec, const cplx* tw, std::size_t m);
 
+  /// A reversed kernel spectrum straight from its taps — the KernelCache
+  /// spectrum build: bins[k] = R(w_k)^h for k in [0, m], where
+  /// R(x) = taps[0] x^g + taps[1] x^(g-1) + ... + taps[g] (g = ntaps - 1)
+  /// is the reversed tap polynomial and w_k = e^{-2 pi i k / (2m)}. These
+  /// are the R2C bins of taps^h packed back-to-front at n = 2m, with no
+  /// time-domain power and no transform. `tw` is rfft_untangle's
+  /// quarter-circle table (w_k for k <= m/2; w_{m-k} = -conj(w_k) gives the
+  /// rest); requires an even m >= 2. Binary exponentiation per bin; a bin
+  /// with |R(w)|^h < 1e-120 reads 0 without a chain. Every value in a kept
+  /// bin's chain is a power |R|^k with k <= h, so it never falls under that
+  /// floor and the chain never meets a denormal. Per-bin relative error
+  /// grows like h * eps.
+  void (*tap_power_bins)(const double* taps, std::size_t ntaps,
+                         std::uint64_t h, const cplx* tw, std::size_t m,
+                         cplx* bins);
+
   /// Black-Scholes d± over node arrays — the boundary engine's quadrature
   /// inner loop. base = (logz[i] + drift_t[i]) * inv_vs[i];
   /// dp[i] = base + half_vs[i]; dm[i] = base - half_vs[i]. The caller

@@ -17,12 +17,20 @@
 //     each squaring is paid once per cache instead of once per height.
 //   * SPECTRAL — `power_spectrum(h, n)`: the reversed (correlation-layout)
 //     R2C spectrum of taps^h at padded size n, materialized lazily on first
-//     use and keyed by (h, n). Repeated convolutions at the same recursion
-//     depth then skip the kernel transform entirely (the conv spectral
-//     overloads run 2 transforms per call instead of 3). Spectrum entries
-//     are returned as shared_ptr so an attached `SpectrumBudget` may evict
-//     them under its byte cap without invalidating in-flight convolutions;
-//     a cache with no budget attached never evicts.
+//     use and keyed by (h, n). It is built straight from the taps, never
+//     from the time-domain tier: bin k is R(w_k)^h, with R the reversed tap
+//     polynomial and w_k the k-th n-th root of unity, one dispatched
+//     binary-exponentiation pass (simd tap_power_bins) with no time-domain
+//     power and no forward transform. So a cold tap group pays for its
+//     solves' transforms, not for its kernels'. The bins are not the bits of
+//     the transformed time-domain power (conv::kernel_spectrum of power(h)):
+//     they agree with it to about h * eps of the largest bin. Repeated
+//     convolutions at the same recursion depth then skip the kernel
+//     transform entirely (the conv spectral overloads run 2 transforms per
+//     call instead of 3). Spectrum entries are returned as shared_ptr so an
+//     attached `SpectrumBudget` may evict them under its byte cap without
+//     invalidating in-flight convolutions; a cache with no budget attached
+//     never evicts.
 
 #include <atomic>
 #include <cstdint>
@@ -48,7 +56,7 @@ class KernelCache;
 /// overflow, evicts the least-recently-used entry — whichever cache owns
 /// it. Eviction only forgets warm state: entries are shared_ptr-held, so a
 /// convolution already consuming one finishes safely, and the next request
-/// simply re-transforms. Lock order is budget mutex -> owner-cache mutex;
+/// simply rebuilds it. Lock order is budget mutex -> owner-cache mutex;
 /// caches never call into the budget while holding their own lock.
 class SpectrumBudget {
  public:
@@ -67,31 +75,39 @@ class SpectrumBudget {
  private:
   friend class KernelCache;
 
-  /// Recency stamps live in shared_ptr'd atomics co-owned by the owning
-  /// cache's map entry, so a warm hit refreshes its LRU position with ONE
-  /// relaxed store — no budget mutex, no entry scan — keeping the hot
-  /// spectrum path as lock-free as the power() snapshot beside it. The
-  /// mutex guards only the entry heap itself (admit / evict / forget /
-  /// stats).
-  using Tick = std::shared_ptr<std::atomic<std::uint64_t>>;
+  /// One spectrum entry's recency, co-owned by the owning cache's map
+  /// entry and the budget's heap entry. A warm hit refreshes its LRU
+  /// position with ONE relaxed store to `tick` — no budget mutex, no entry
+  /// scan — keeping the hot spectrum path as lock-free as the power()
+  /// snapshot beside it. `dead` marks an entry of a retired cache: the
+  /// mark sits here, never on the owner's address (a new cache may reuse
+  /// it), and admit() checks it before it re-keys an entry or calls its
+  /// owner back. The mutex guards the entry heap and `dead`.
+  struct Recency {
+    std::atomic<std::uint64_t> tick{0};
+    bool dead = false;
+  };
+  using RecencyPtr = std::shared_ptr<Recency>;
   [[nodiscard]] std::uint64_t next_tick() noexcept {
     return tick_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
   /// Admit `key` of `owner` at `bytes` — once per spectrum a cache
   /// inserts; evicts LRU entries of any registered cache until the total
-  /// fits the cap again.
+  /// fits the cap again, dropping retired entries as they surface.
   void admit(KernelCache* owner, std::uint64_t key, std::size_t bytes,
-             const Tick& tick);
-  /// Drop every entry owned by `owner` (cache destruction / clear).
+             const RecencyPtr& recency);
+  /// Retire a dying cache in O(its own entries): mark each of its entries
+  /// dead and drop its bytes at once. The heap keeps the dead entries
+  /// until they reach its top, and compacts once they exceed half of it.
   void forget(KernelCache* owner);
 
   struct Entry {
-    KernelCache* owner;
+    KernelCache* owner;  ///< touched only while !recency->dead
     std::uint64_t key;
     std::size_t bytes;
-    Tick tick;
-    std::uint64_t stamp;  ///< *tick when last (re)pushed: the heap key
+    RecencyPtr recency;
+    std::uint64_t stamp;  ///< recency->tick when last (re)pushed: the key
   };
   /// Min-heap order on `stamp`.
   static bool newer(const Entry& a, const Entry& b) noexcept {
@@ -105,9 +121,10 @@ class SpectrumBudget {
   std::uint64_t evictions_ = 0;
   /// A refresh only raises a tick, so a stamp never exceeds its entry's
   /// live tick (racing refreshes aside, which reorder LRU neighbours under
-  /// any scheme): a top whose stamp still equals its tick is the exact LRU
-  /// entry, and a stale top is re-pushed under its live tick.
+  /// any scheme): a live top whose stamp still equals its tick is the exact
+  /// LRU entry, and a stale top is re-pushed under its live tick.
   std::vector<Entry> heap_;
+  std::size_t dead_ = 0;  ///< entries of heap_ whose recency is dead
 };
 
 class KernelCache {
@@ -128,9 +145,11 @@ class KernelCache {
 
   /// The reversed R2C spectrum of taps^h at padded transform size n (a
   /// power of two >= the full linear length of the intended correlation —
-  /// conv::correlate_fft_size of the call's dimensions). The shared_ptr
-  /// keeps the spectrum alive across a concurrent budget eviction; without
-  /// an attached budget entries live as long as the cache.
+  /// conv::correlate_fft_size of the call's dimensions — so at least the
+  /// kernel length g*h + 1, its `klen`). It never touches the time-domain
+  /// tier. The shared_ptr keeps the spectrum alive across a concurrent
+  /// budget eviction; without an attached budget entries live as long as
+  /// the cache.
   [[nodiscard]] std::shared_ptr<const fft::RealSpectrum> power_spectrum(
       std::uint64_t h, std::size_t n);
 
@@ -154,6 +173,11 @@ class KernelCache {
   /// drawing on the shared squaring ladder. Caller holds no lock.
   [[nodiscard]] std::vector<double> compute_power(std::uint64_t h);
 
+  /// The reversed spectrum of taps^h at n, straight from the taps (see the
+  /// file comment). Caller holds no lock.
+  [[nodiscard]] fft::RealSpectrum compute_spectrum(std::uint64_t h,
+                                                   std::size_t n);
+
   /// Budget callback: drop the (h, n) entry for `key` if still present.
   /// Called with the budget mutex held; takes only this cache's mutex.
   void evict_spectrum(std::uint64_t key);
@@ -174,11 +198,11 @@ class KernelCache {
   std::atomic<const PowerSnapshot*> power_snap_{nullptr};
   std::vector<std::unique_ptr<const PowerSnapshot>> retired_snaps_;
   /// Spectra keyed by (h, log2 n) packed into one word (log2 n < 64). The
-  /// recency stamp is co-owned with the budget's entry list (see
-  /// SpectrumBudget::Tick); null when no budget is attached.
+  /// recency is co-owned with the budget's heap entry (see
+  /// SpectrumBudget::Recency); null when no budget is attached.
   struct SpectrumEntry {
     std::shared_ptr<const fft::RealSpectrum> spec;
-    SpectrumBudget::Tick tick;
+    SpectrumBudget::RecencyPtr recency;
   };
   std::unordered_map<std::uint64_t, SpectrumEntry> spectra_;
   std::shared_ptr<SpectrumBudget> budget_;  ///< null = unbounded

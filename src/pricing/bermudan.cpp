@@ -55,17 +55,18 @@ double price_fft(const OptionSpec& spec, std::int64_t T,
     const std::int64_t h = i - target;
     if (h == 0) return;
     std::vector<double> next(static_cast<std::size_t>(target + 1));
-    const std::span<const double> kernel =
-        kernels.power(static_cast<std::uint64_t>(h));
     // Equal inter-date gaps re-request the same height; consume the cached
-    // kernel spectrum on the FFT path like the trapezoid solvers do.
-    if (conv::correlate_prefers_fft(next.size(), kernel.size(), {})) {
+    // kernel spectrum on the FFT path like the trapezoid solvers do. The
+    // 2-tap kernel's length h + 1 is known without materializing it.
+    const std::size_t klen = static_cast<std::size_t>(h + 1);
+    if (conv::correlate_prefers_fft(next.size(), klen, {})) {
       const auto spec = kernels.power_spectrum(
           static_cast<std::uint64_t>(h),
-          conv::correlate_fft_size(next.size(), kernel.size()));
+          conv::correlate_fft_size(next.size(), klen));
       conv::correlate_valid(row, *spec, next, conv::thread_workspace());
     } else {
-      conv::correlate_valid(row, kernel, next);
+      conv::correlate_valid(row, kernels.power(static_cast<std::uint64_t>(h)),
+                            next);
     }
     row = std::move(next);
     i = target;

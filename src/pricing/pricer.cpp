@@ -89,21 +89,28 @@ bool Pricer::supports(Model m, Right r, Style s, Engine e,
   return true;
 }
 
-void Pricer::evict_lru(std::vector<Entry>& tier, std::size_t cap) {
+Pricer::CachePtr Pricer::evict_lru(std::vector<Entry>& tier,
+                                   std::size_t cap) {
   // Evict the least-recently-used group when the tier overflows. Batches in
   // flight hold their own shared_ptr copies, so eviction only drops warm
   // state for FUTURE lookups — it never tears a cache out from under a
   // running pricing.
-  if (tier.size() <= cap) return;
+  if (tier.size() <= cap) return nullptr;
   const auto victim = std::min_element(
       tier.begin(), tier.end(),
       [](const Entry& a, const Entry& b) { return a.last_used < b.last_used; });
+  CachePtr out = std::move(victim->cache);
   tier.erase(victim);
+  return out;
 }
 
 Pricer::CachePtr Pricer::cache_for(const stencil::LinearStencil& st,
                                    Tier tier) {
   if (st.taps.empty()) return nullptr;
+  // Declared before the lock so an evicted cache dies after mu_ is
+  // released: every trial evaluation and warm-root lookup of the session
+  // would otherwise wait on its destructor.
+  CachePtr evicted;
   std::lock_guard<std::mutex> lock(mu_);
   const auto matches = [&](const Entry& e) {
     const stencil::LinearStencil& key = e.cache->stencil();
@@ -129,7 +136,7 @@ Pricer::CachePtr Pricer::cache_for(const stencil::LinearStencil& st,
         // group: move it to the protected tier.
         base_caches_.push_back(std::move(*it));
         transient_caches_.erase(it);
-        evict_lru(base_caches_, kBaseKernelCaches);
+        evicted = evict_lru(base_caches_, kBaseKernelCaches);
       }
       return out;
     }
@@ -142,10 +149,10 @@ Pricer::CachePtr Pricer::cache_for(const stencil::LinearStencil& st,
   CachePtr out = entry.cache;
   if (tier == Tier::base) {
     base_caches_.push_back(std::move(entry));
-    evict_lru(base_caches_, kBaseKernelCaches);
+    evicted = evict_lru(base_caches_, kBaseKernelCaches);
   } else {
     transient_caches_.push_back(std::move(entry));
-    evict_lru(transient_caches_, kTransientKernelCaches);
+    evicted = evict_lru(transient_caches_, kTransientKernelCaches);
   }
   return out;
 }

@@ -93,6 +93,12 @@ struct Avx2 {
                             _mm256_cmp_pd(x, zero(), _CMP_GE_OQ));
   }
 
+  static reg or_(reg a, reg b) { return _mm256_or_pd(a, b); }
+  static bool all_zero(reg v) {
+    const __m256i b = _mm256_castpd_si256(v);
+    return _mm256_testz_si256(b, b) != 0;
+  }
+
   static void radix4_small(double* re, double* im, std::size_t n,
                            std::size_t h, const double* wsoa, bool inverse);
 };

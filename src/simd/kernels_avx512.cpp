@@ -102,6 +102,12 @@ struct Avx512 {
                                 otherwise, if_ge);
   }
 
+  static reg or_(reg a, reg b) { return _mm512_or_pd(a, b); }
+  static bool all_zero(reg v) {
+    const __m512i b = _mm512_castpd_si512(v);
+    return _mm512_test_epi64_mask(b, b) == 0;
+  }
+
   static void radix4_small(double* re, double* im, std::size_t n,
                            std::size_t h, const double* wsoa, bool inverse);
 };

@@ -1,9 +1,10 @@
 #pragma once
 // Shared by every kernel translation unit: the two-row sweep driver and the
-// scalar reference of norm_cdf. Everything here has internal linkage, so
-// each kernel file compiles its own copy under its own -m flags (an inline
-// definition with external linkage would let the linker keep one file's
-// copy for all of them). Not installed; include only from src/simd/*.cpp.
+// scalar references of norm_cdf and tap_power_bins. Everything here has
+// internal linkage, so each kernel file compiles its own copy under its own
+// -m flags (an inline definition with external linkage would let the linker
+// keep one file's copy for all of them). Not installed; include only from
+// src/simd/*.cpp.
 
 #include <algorithm>
 #include <cmath>
@@ -111,6 +112,105 @@ inline constexpr double kC[12] = {
   return x >= 0.0 ? 1.0 - tail : tail;
 }
 }  // namespace phi_detail
+
+// The scalar reference of Kernels::tap_power_bins, shared like phi_detail:
+// the scalar table runs tap_bins_from over every bin, the vector TUs map
+// each step onto lanes and finish their tails with it.
+namespace tap_bins_detail {
+/// A bin whose |R(w)|^h lies below this reads 0: a probability kernel
+/// peaks near 1, so such bins sit ~108 decades under it, far below the
+/// 1e-12 x peak floor the time-domain power clamps away. Every value in a
+/// kept bin's chain is a power |R|^k with k <= h, so none falls below the
+/// floor either (|R| > 1 only grows): every product's magnitude stays
+/// >= 1e-240, and no chain meets a denormal.
+inline constexpr double kFloor = 1e-120;
+
+struct Bin {
+  double re, im;
+};
+
+[[nodiscard]] inline Bin mul(Bin a, Bin b) noexcept {
+  return {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
+}
+
+/// |R(w)|^2 below this means |R(w)|^h < kFloor (0 for h = 0: R^0 = 1).
+[[nodiscard]] inline double zero_below(std::uint64_t h) noexcept {
+  return h == 0 ? 0.0
+                : std::pow(kFloor * kFloor, 1.0 / static_cast<double>(h));
+}
+
+/// R(w)^h for two roots at once, in place, R(x) = taps[0] x^g + ... +
+/// taps[g]: Horner, then binary exponentiation (square-and-multiply over
+/// the bits of h, low first) on two independent chains, which keeps two
+/// products in flight. A root with |R(w)|^2 < `zero` (zero_below(h))
+/// starts its chain at exactly 0; a pair of such roots skips the chain.
+/// (Named scalars, not arrays: the chains must stay in registers.)
+inline void raise_pair(const double* taps, std::size_t ntaps, std::uint64_t h,
+                       double zero, Bin& w0, Bin& w1) noexcept {
+  Bin z0{taps[0], 0.0}, z1{taps[0], 0.0};
+  for (std::size_t i = 1; i < ntaps; ++i) {
+    z0 = mul(z0, w0);
+    z1 = mul(z1, w1);
+    z0.re += taps[i];
+    z1.re += taps[i];
+  }
+  const bool zero0 = z0.re * z0.re + z0.im * z0.im < zero;
+  const bool zero1 = z1.re * z1.re + z1.im * z1.im < zero;
+  if (zero0 && zero1) {
+    w0 = w1 = {0.0, 0.0};
+    return;
+  }
+  if (zero0) z0 = {0.0, 0.0};
+  if (zero1) z1 = {0.0, 0.0};
+  Bin a0{1.0, 0.0}, a1{1.0, 0.0};
+  for (;;) {
+    if (h & 1u) {
+      a0 = mul(a0, z0);
+      a1 = mul(a1, z1);
+    }
+    h >>= 1;
+    if (h == 0) break;
+    z0 = mul(z0, z0);
+    z1 = mul(z1, z1);
+  }
+  w0 = a0;
+  w1 = a1;
+}
+
+/// Bins j, j + 1 and their mirrors m - j, m - j - 1 for j in [j0, m/2) in
+/// steps of 2, then what is left: at most one more pair and the centre bin
+/// m/2.
+inline void tap_bins_from(const double* taps, std::size_t ntaps,
+                          std::uint64_t h, const cplx* tw, std::size_t m,
+                          cplx* bins, std::size_t j0) noexcept {
+  const auto root = [&](std::size_t k) -> Bin {
+    return {tw[k].real(), tw[k].imag()};
+  };
+  const auto mirror = [](Bin w) -> Bin { return {-w.re, w.im}; };  // -conj
+  const auto store = [&](std::size_t k, Bin b) { bins[k] = cplx{b.re, b.im}; };
+  const double zero = zero_below(h);
+  std::size_t j = j0;
+  for (; j + 2 <= m / 2; j += 2) {
+    Bin lo0 = root(j), lo1 = root(j + 1);
+    Bin hi0 = mirror(lo0), hi1 = mirror(lo1);
+    raise_pair(taps, ntaps, h, zero, lo0, lo1);
+    raise_pair(taps, ntaps, h, zero, hi0, hi1);
+    store(j, lo0);
+    store(j + 1, lo1);
+    store(m - j, hi0);
+    store(m - j - 1, hi1);
+  }
+  if (j < m / 2) {
+    Bin lo = root(j), hi = mirror(lo);
+    raise_pair(taps, ntaps, h, zero, lo, hi);
+    store(j, lo);
+    store(m - j, hi);
+  }
+  Bin centre = root(m / 2), spare = centre;
+  raise_pair(taps, ntaps, h, zero, centre, spare);
+  store(m / 2, centre);
+}
+}  // namespace tap_bins_detail
 
 }  // namespace
 }  // namespace amopt::simd

@@ -206,6 +206,12 @@ void rfft_retangle(cplx* __restrict spec, const cplx* __restrict tw,
   }
 }
 
+void tap_power_bins(const double* __restrict taps, std::size_t ntaps,
+                    std::uint64_t h, const cplx* __restrict tw, std::size_t m,
+                    cplx* __restrict bins) {
+  tap_bins_detail::tap_bins_from(taps, ntaps, h, tw, m, bins, 0);
+}
+
 }  // namespace
 
 }  // namespace scalar_impl
@@ -221,7 +227,7 @@ const Kernels scalar = {
     scalar_impl::deinterleave_rev,
     scalar_impl::scale2,         scalar_impl::radix2_pass,
     scalar_impl::radix4_pass,    scalar_impl::rfft_untangle,
-    scalar_impl::rfft_retangle,
+    scalar_impl::rfft_retangle,  scalar_impl::tap_power_bins,
     scalar_impl::bs_dpm,         scalar_impl::norm_cdf,
 };
 

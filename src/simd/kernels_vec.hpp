@@ -21,6 +21,8 @@
 //   abs, round, exp2i, select_ge0
 //                              the norm_cdf primitives (exp2i: 2^k for
 //                              integral k; select_ge0: x >= 0 ? a : b)
+//   or_, all_zero              tap_power_bins' skip test (all_zero: every
+//                              lane's bits are zero)
 //   radix4_small(...)          the radix-4 stages with h < kLanes (their
 //                              shuffles are width-specific; most run
 //                              through radix4_packed below)
@@ -507,6 +509,75 @@ void rfft_retangle(cplx* spec, const cplx* tw, std::size_t m) {
   }
 }
 
+// -------------------------------------------- kernel spectra from the taps
+//
+// Two vectors of adjacent roots per chain pair: their bins decay alike, so
+// at large h whole pairs fall under tap_bins_detail::kFloor and skip their
+// chains. Lanes under the floor start at exactly 0 and stay 0. Each block
+// of lower roots w_j is followed by its mirror block -conj(w_j), whose bins
+// m - j are stored lane-reversed like the R2C pair loops'. Every step is
+// tap_bins_detail's scalar sequence, which also finishes the tail.
+
+template <class V>
+void tap_power_bins(const double* taps, std::size_t ntaps, std::uint64_t h,
+                    const cplx* tw, std::size_t m, cplx* bins) {
+  using reg = typename V::reg;
+  constexpr std::size_t L = V::kLanes;
+  const auto* td = reinterpret_cast<const double*>(tw);
+  auto* bd = reinterpret_cast<double*>(bins);
+  const reg zero = V::set1(tap_bins_detail::zero_below(h));
+  // R(w)^h for the two root vectors w[0], w[1], in place.
+  const auto raise = [&](Cv<V>(&w)[2]) {
+    Cv<V> z[2];
+    for (int q = 0; q < 2; ++q) {
+      z[q] = {V::set1(taps[0]), V::zero()};
+      for (std::size_t i = 1; i < ntaps; ++i) {
+        z[q] = twiddle<V>(z[q], w[q].re, w[q].im);
+        z[q].re = V::add(z[q].re, V::set1(taps[i]));
+      }
+      const reg keep = V::sub(
+          V::madd(z[q].re, z[q].re, V::mul(z[q].im, z[q].im)), zero);
+      z[q] = {V::select_ge0(keep, z[q].re, V::zero()),
+              V::select_ge0(keep, z[q].im, V::zero())};
+    }
+    if (h != 0 && V::all_zero(V::or_(V::or_(z[0].re, z[0].im),
+                                     V::or_(z[1].re, z[1].im)))) {
+      w[0] = w[1] = {V::zero(), V::zero()};
+      return;
+    }
+    Cv<V> acc[2] = {{V::set1(1.0), V::zero()}, {V::set1(1.0), V::zero()}};
+    for (std::uint64_t e = h;;) {
+      if (e & 1u) {
+        acc[0] = twiddle<V>(acc[0], z[0].re, z[0].im);
+        acc[1] = twiddle<V>(acc[1], z[1].re, z[1].im);
+      }
+      e >>= 1;
+      if (e == 0) break;
+      z[0] = twiddle<V>(z[0], z[0].re, z[0].im);
+      z[1] = twiddle<V>(z[1], z[1].re, z[1].im);
+    }
+    w[0] = acc[0];
+    w[1] = acc[1];
+  };
+  const reg sign = V::set1(-0.0);
+  std::size_t j = 0;
+  for (; j + 2 * L <= m / 2; j += 2 * L) {
+    Cv<V> lo[2], hi[2];
+    for (std::size_t q = 0; q < 2; ++q) {
+      V::load_split(td + 2 * (j + q * L), lo[q].re, lo[q].im);
+      hi[q] = {V::xor_(lo[q].re, sign), lo[q].im};  // -conj(w)
+    }
+    raise(lo);
+    raise(hi);
+    for (std::size_t q = 0; q < 2; ++q) {
+      V::store_join(bd + 2 * (j + q * L), lo[q].re, lo[q].im);
+      V::store_join(bd + 2 * (m - j - q * L - L + 1), V::reverse(hi[q].re),
+                    V::reverse(hi[q].im));
+    }
+  }
+  tap_bins_detail::tap_bins_from(taps, ntaps, h, tw, m, bins, j);
+}
+
 // ------------------------------------------------------------------ table
 
 template <class V>
@@ -517,7 +588,7 @@ constexpr Kernels table() {
       deinterleave<V>,   interleave<V>,     interleave_scaled<V>,
       deinterleave_rev<V>, scale2<V>,       radix2_pass<V>,
       radix4_pass<V>,    rfft_untangle<V>,  rfft_retangle<V>,
-      bs_dpm<V>,         norm_cdf<V>,
+      tap_power_bins<V>, bs_dpm<V>,         norm_cdf<V>,
   };
 }
 

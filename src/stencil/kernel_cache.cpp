@@ -1,12 +1,15 @@
 #include "amopt/stencil/kernel_cache.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <mutex>
 #include <utility>
 
 #include "amopt/common/aligned.hpp"
 #include "amopt/common/assert.hpp"
 #include "amopt/fft/convolution.hpp"
+#include "amopt/metrics/counters.hpp"
+#include "amopt/simd/kernels.hpp"
 
 namespace amopt::stencil {
 
@@ -29,23 +32,29 @@ namespace {
 // ------------------------------------------------------------ SpectrumBudget
 
 void SpectrumBudget::admit(KernelCache* owner, std::uint64_t key,
-                           std::size_t bytes, const Tick& tick) {
+                           std::size_t bytes, const RecencyPtr& recency) {
   std::lock_guard<std::mutex> lock(mu_);
-  heap_.push_back(
-      {owner, key, bytes, tick, tick->load(std::memory_order_relaxed)});
+  heap_.push_back({owner, key, bytes, recency,
+                   recency->tick.load(std::memory_order_relaxed)});
   std::push_heap(heap_.begin(), heap_.end(), newer);
   bytes_ += bytes;
   while (bytes_ > max_bytes_ && heap_.size() > 1) {
     std::pop_heap(heap_.begin(), heap_.end(), newer);
     Entry& lru = heap_.back();
-    const std::uint64_t live = lru.tick->load(std::memory_order_relaxed);
+    if (lru.recency->dead) {  // a retired cache's: its bytes already left
+      heap_.pop_back();
+      --dead_;
+      continue;
+    }
+    const std::uint64_t live =
+        lru.recency->tick.load(std::memory_order_relaxed);
     if (live != lru.stamp) {  // touched since it was pushed: re-key it
       lru.stamp = live;
       std::push_heap(heap_.begin(), heap_.end(), newer);
       continue;
     }
     // Never evict what we just admitted — the caller is about to use it.
-    if (lru.owner == owner && lru.key == key) {
+    if (lru.recency == recency) {
       std::push_heap(heap_.begin(), heap_.end(), newer);
       break;
     }
@@ -58,19 +67,27 @@ void SpectrumBudget::admit(KernelCache* owner, std::uint64_t key,
 
 void SpectrumBudget::forget(KernelCache* owner) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::erase_if(heap_, [&](const Entry& e) {
-    if (e.owner != owner) return false;
-    bytes_ -= e.bytes;
-    return true;
-  });
-  std::make_heap(heap_.begin(), heap_.end(), newer);
+  // The dying cache's map holds exactly its admitted, not yet evicted
+  // entries (evictions erase from both sides under this mutex), and no
+  // lookup can race its destructor — so its own entries are the whole
+  // retirement, whatever else the session holds.
+  for (const auto& [key, entry] : owner->spectra_) {
+    entry.recency->dead = true;
+    bytes_ -= spectrum_bytes_of(*entry.spec);
+    ++dead_;
+  }
+  if (2 * dead_ > heap_.size()) {  // amortized: each entry is erased once
+    std::erase_if(heap_, [](const Entry& e) { return e.recency->dead; });
+    std::make_heap(heap_.begin(), heap_.end(), newer);
+    dead_ = 0;
+  }
 }
 
 SpectrumBudget::Stats SpectrumBudget::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s;
   s.bytes = bytes_;
-  s.entries = heap_.size();
+  s.entries = heap_.size() - dead_;
   s.evictions = evictions_;
   return s;
 }
@@ -78,9 +95,9 @@ SpectrumBudget::Stats SpectrumBudget::stats() const {
 // --------------------------------------------------------------- KernelCache
 
 KernelCache::~KernelCache() {
-  // Unregister before the spectra die. forget() serializes with any
-  // in-flight eviction pass (budget mutex), so no evictor can reach this
-  // cache afterwards.
+  // Retire before the spectra die. forget() serializes with any in-flight
+  // eviction pass (budget mutex) and marks every entry of this cache dead,
+  // so no evictor can reach this cache afterwards.
   if (budget_) budget_->forget(this);
 }
 
@@ -152,6 +169,32 @@ std::span<const double> KernelCache::power(std::uint64_t h) {
   return *it->second;
 }
 
+fft::RealSpectrum KernelCache::compute_spectrum(std::uint64_t h,
+                                                std::size_t n) {
+  const std::span<const double> taps = stencil_.taps;
+  const std::size_t klen = (taps.size() - 1) * static_cast<std::size_t>(h) + 1;
+  AMOPT_EXPECTS(n >= klen);
+  // Below 4 points the plan has no quarter-circle table; no FFT-path
+  // correlation is that small, so these keep the transformed power.
+  if (n < 4) {
+    return conv::kernel_spectrum(power(h), n, /*reversed=*/true,
+                                 conv::thread_workspace());
+  }
+  fft::RealSpectrum spec;
+  spec.n = n;
+  spec.klen = klen;
+  spec.reversed = true;
+  spec.bins.resize(spec.spectrum_size());
+  simd::kernels().tap_power_bins(taps.data(), taps.size(), h,
+                                 fft::real_plan_for(n).quarter_roots().data(),
+                                 n / 2, spec.bins.data());
+  // Horner plus ~2 log2(h) complex products per bin.
+  metrics::add_flops(6 * spec.bins.size() *
+                     (taps.size() + 2 * static_cast<std::size_t>(
+                                            std::bit_width(h))));
+  return spec;
+}
+
 std::shared_ptr<const fft::RealSpectrum> KernelCache::power_spectrum(
     std::uint64_t h, std::size_t n) {
   AMOPT_EXPECTS(is_pow2(n));
@@ -162,31 +205,30 @@ std::shared_ptr<const fft::RealSpectrum> KernelCache::power_spectrum(
     if (it != spectra_.end()) {
       // Refresh the LRU stamp with one relaxed store — the hot warm path
       // never touches the budget mutex.
-      if (it->second.tick)
-        it->second.tick->store(budget_->next_tick(),
-                               std::memory_order_relaxed);
+      if (it->second.recency)
+        it->second.recency->tick.store(budget_->next_tick(),
+                                       std::memory_order_relaxed);
       return it->second.spec;
     }
   }
-  // Materialize outside the lock: time-domain taps first (warm after the
-  // first call at this height), then one reversed R2C transform at n.
-  const std::span<const double> taps_h = power(h);
-  auto spec = std::make_shared<fft::RealSpectrum>(conv::kernel_spectrum(
-      taps_h, n, /*reversed=*/true, conv::thread_workspace()));
-  SpectrumEntry entry{std::move(spec), nullptr};
+  // Build outside the lock, straight from the taps.
+  SpectrumEntry entry{
+      std::make_shared<const fft::RealSpectrum>(compute_spectrum(h, n)),
+      nullptr};
   if (budget_) {
-    entry.tick = std::make_shared<std::atomic<std::uint64_t>>(
-        budget_->next_tick());
+    entry.recency = std::make_shared<SpectrumBudget::Recency>();
+    entry.recency->tick.store(budget_->next_tick(),
+                              std::memory_order_relaxed);
   }
   std::shared_ptr<const fft::RealSpectrum> out;
-  SpectrumBudget::Tick tick;  // set only if this call inserted the entry
+  SpectrumBudget::RecencyPtr admitted;  // set only if this call inserted
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     auto [it, inserted] = spectra_.emplace(key, std::move(entry));
     out = it->second.spec;
-    if (inserted) tick = it->second.tick;
+    if (inserted) admitted = it->second.recency;
   }
-  if (tick) budget_->admit(this, key, spectrum_bytes_of(*out), tick);
+  if (admitted) budget_->admit(this, key, spectrum_bytes_of(*out), admitted);
   return out;
 }
 

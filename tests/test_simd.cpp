@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <numbers>
 #include <random>
 #include <vector>
@@ -266,6 +267,72 @@ TEST_F(SimdTest, RfftPairKernelsMatchScalarTable) {
             EXPECT_NEAR(std::abs(sb[i] - spec_a[i]), 0.0, kPathTol)
                 << simd::to_string(lvl) << " m=" << m << " off=" << off
                 << (retangle ? " retangle" : " untangle");
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdTest, TapPowerBinsMatchScalarTableAndDirectEvaluation) {
+  // Kernel spectra straight from the taps. The scalar table matches a
+  // long-double evaluation of R(w_k)^h, and every level matches the scalar
+  // table, both within 4 h eps of the largest bin (the squaring chain
+  // doubles a bin's relative error per step) plus an absolute 2e-120 for
+  // the floor: a bin with |R(w)|^h < 1e-120 reads 0, which is all of
+  // {0.7}^8192. Misaligned outputs, every pair-loop tail length, and h = 0
+  // (all-ones bins) are covered.
+  const simd::Kernels& ref = simd::kernels(Level::scalar);
+  const std::vector<std::vector<double>> tap_sets{
+      {0.7}, {0.49, 0.5}, {0.24, 0.5, 0.25}, {0.1, 0.3, 0.4, 0.19}};
+  const double eps = std::numeric_limits<double>::epsilon();
+  for (const std::size_t m : {2u, 4u, 6u, 18u, 64u, 1024u}) {
+    std::vector<cplx> tw(m / 2 + 1);
+    for (std::size_t i = 0; i <= m / 2; ++i) {
+      const double a = -2.0 * std::numbers::pi * static_cast<double>(i) /
+                       static_cast<double>(2 * m);
+      tw[i] = cplx{std::cos(a), std::sin(a)};
+    }
+    for (const std::vector<double>& taps : tap_sets) {
+      for (const std::uint64_t h : {0u, 1u, 2u, 3u, 64u, 341u, 8192u}) {
+        std::vector<cplx> want(m + 1);
+        ref.tap_power_bins(taps.data(), taps.size(), h, tw.data(), m,
+                           want.data());
+        double peak = 0.0;
+        for (const cplx& x : want) peak = std::max(peak, std::abs(x));
+        const double tol =
+            4.0 * static_cast<double>(std::max<std::uint64_t>(h, 1)) * eps *
+                peak +
+            2e-120;
+        for (std::size_t k = 0; k <= m; ++k) {
+          const long double a = -2.0L * std::numbers::pi_v<long double> *
+                                static_cast<long double>(k) /
+                                static_cast<long double>(2 * m);
+          const std::complex<long double> w{std::cos(a), std::sin(a)};
+          std::complex<long double> r = taps[0];
+          for (std::size_t i = 1; i < taps.size(); ++i)
+            r = r * w + static_cast<long double>(taps[i]);
+          std::complex<long double> p = 1.0L;
+          for (std::uint64_t e = h; e != 0; e >>= 1, r *= r)
+            if (e & 1u) p *= r;
+          if (h == 0) {
+            EXPECT_EQ(want[k], cplx(1.0, 0.0));
+          }
+          EXPECT_LE(std::abs(p - std::complex<long double>(want[k])), tol)
+              << "m=" << m << " taps=" << taps.size() << " h=" << h
+              << " k=" << k;
+        }
+        for (const Level lvl : available_levels()) {
+          if (lvl == Level::scalar) continue;
+          for (const std::size_t off : {0u, 1u}) {  // 1 complex = 16B
+            aligned_vector<cplx> got(m + 1 + off);
+            simd::kernels(lvl).tap_power_bins(taps.data(), taps.size(), h,
+                                              tw.data(), m, got.data() + off);
+            for (std::size_t k = 0; k <= m; ++k)
+              ASSERT_LE(std::abs(got[k + off] - want[k]), tol)
+                  << simd::to_string(lvl) << " m=" << m
+                  << " taps=" << taps.size() << " h=" << h << " k=" << k
+                  << " off=" << off;
+          }
         }
       }
     }

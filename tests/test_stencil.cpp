@@ -7,12 +7,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <random>
 #include <vector>
 
 #include "amopt/core/task_pool.hpp"
 #include "amopt/fft/convolution.hpp"
 #include "amopt/poly/poly_power.hpp"
+#include "amopt/pricing/params.hpp"
 #include "amopt/stencil/kernel_cache.hpp"
 #include "amopt/stencil/linear_stencil.hpp"
 
@@ -127,6 +130,24 @@ TEST(KernelCache, LadderPowersMatchNaiveUpTo4096) {
   EXPECT_LE(cache.stats().ladder_rungs, 13u);
 }
 
+/// The production tap groups at T = 8192: BOPM {s0, s1}, TOPM {s0, s1, s2}
+/// and the centered BSM FDM stencil {b, c, a}.
+std::vector<std::vector<double>> production_taps() {
+  const pricing::OptionSpec spec = pricing::paper_spec();
+  const pricing::BopmParams b = pricing::derive_bopm(spec, 8192);
+  const pricing::TopmParams t = pricing::derive_topm(spec, 8192);
+  const pricing::BsmParams f = pricing::derive_bsm(spec, 8192);
+  return {{b.s0, b.s1}, {t.s0, t.s1, t.s2}, {f.b, f.c, f.a}};
+}
+
+/// Cache spectra are built from the taps, so they are compared with the
+/// transformed time-domain power to c * h * eps of the largest bin. The
+/// measured worst case is 25 (TOPM; BSM 13, BOPM 3.4 at every dispatch
+/// level), and a long-double evaluation of R(w)^h puts nearly all of it on
+/// the transformed-power side: the cache's bins lie within 1 * h * eps.
+constexpr double kBinC = 64.0;
+constexpr double kEps = std::numeric_limits<double>::epsilon();
+
 TEST(KernelCache, SpectraAreCachedPerHeightAndSize) {
   const std::vector<double> taps{0.2, 0.5, 0.29};
   stencil::KernelCache cache({taps, 0});
@@ -142,31 +163,63 @@ TEST(KernelCache, SpectraAreCachedPerHeightAndSize) {
   EXPECT_NE(sp1.get(), sp3.get());  // same height, different padded size
   EXPECT_EQ(cache.stats().spectra, 2u);
 
-  // The cached bins must be exactly what an in-call transform produces.
+  // Every bin matches an independent reference — the reversed transform of
+  // poly::power — to kBinC * h * eps of the largest bin, for the production
+  // taps from h = 1 to 8192, at the minimal and the doubled padded size.
   conv::Workspace ws;
-  const fft::RealSpectrum fresh =
-      conv::kernel_spectrum(cache.power(16), n, /*reversed=*/true, ws);
-  ASSERT_EQ(fresh.bins.size(), s1.bins.size());
-  for (std::size_t i = 0; i < fresh.bins.size(); ++i)
-    ASSERT_EQ(fresh.bins[i], s1.bins[i]) << "bin " << i;
+  for (const std::vector<double>& prod : production_taps()) {
+    stencil::KernelCache c({prod, 0});
+    for (const std::uint64_t h :
+         {1u, 2u, 3u, 64u, 341u, 1024u, 4096u, 8192u}) {
+      const std::size_t klen = (prod.size() - 1) * h + 1;
+      const std::vector<double> power = poly::power(prod, h);
+      for (const std::size_t size : {conv::correlate_fft_size(1, klen),
+                                     conv::correlate_fft_size(klen, klen)}) {
+        const auto got = c.power_spectrum(h, size);
+        const fft::RealSpectrum want =
+            conv::kernel_spectrum(power, size, /*reversed=*/true, ws);
+        EXPECT_EQ(got->klen, klen);
+        EXPECT_TRUE(got->reversed);
+        ASSERT_EQ(got->bins.size(), want.bins.size());
+        double peak = 0.0;
+        for (const fft::cplx& x : want.bins) peak = std::max(peak, std::abs(x));
+        const double tol = kBinC * static_cast<double>(h) * kEps * peak;
+        for (std::size_t i = 0; i < want.bins.size(); ++i)
+          ASSERT_LE(std::abs(got->bins[i] - want.bins[i]), tol)
+              << "taps " << prod.size() << " h=" << h << " n=" << size
+              << " bin " << i;
+      }
+    }
+  }
 }
 
 TEST(KernelCache, SpectralCorrelationMatchesTimeDomain) {
-  const std::vector<double> taps{0.3, 0.45, 0.22};
-  stencil::KernelCache cache({taps, 0});
-  const std::uint64_t h = 40;
-  const auto kernel = cache.power(h);
-  const auto in = random_vec(400, 77);
-  const std::size_t n_out = in.size() - kernel.size() + 1;
-  std::vector<double> want(n_out), got(n_out);
-  conv::correlate_valid(in, kernel, want, {conv::Policy::Path::fft});
-  conv::Workspace ws;
-  conv::correlate_valid(
-      in,
-      *cache.power_spectrum(h, conv::correlate_fft_size(n_out, kernel.size())),
-      got, ws);
-  for (std::size_t i = 0; i < n_out; ++i)
-    ASSERT_EQ(got[i], want[i]) << "i=" << i;  // same bits, not just close
+  // The cached-spectrum correlation matches the time-domain FFT correlation
+  // within the bins' bound, scaled by the input's magnitude.
+  std::vector<std::vector<double>> groups = production_taps();
+  groups.push_back({0.3, 0.45, 0.22});
+  for (const std::vector<double>& taps : groups) {
+    stencil::KernelCache cache({taps, 0});
+    for (const std::uint64_t h : {40u, 341u, 1024u}) {
+      const auto kernel = cache.power(h);
+      const auto in = random_vec(3 * kernel.size(), 77);
+      const std::size_t n_out = in.size() - kernel.size() + 1;
+      std::vector<double> want(n_out), got(n_out);
+      conv::correlate_valid(in, kernel, want, {conv::Policy::Path::fft});
+      conv::Workspace ws;
+      const auto spec = cache.power_spectrum(
+          h, conv::correlate_fft_size(n_out, kernel.size()));
+      conv::correlate_valid(in, *spec, got, ws);
+      double peak = 0.0;
+      for (const fft::cplx& x : spec->bins) peak = std::max(peak, std::abs(x));
+      const double in_max = *std::max_element(in.begin(), in.end());
+      const double tol =
+          kBinC * static_cast<double>(h) * kEps * peak * in_max;
+      for (std::size_t i = 0; i < n_out; ++i)
+        ASSERT_NEAR(got[i], want[i], tol)
+            << "taps " << taps.size() << " h=" << h << " i=" << i;
+    }
+  }
 }
 
 TEST(SpectrumBudget, CapsBytesWithLruEvictionAcrossCaches) {
@@ -217,6 +270,155 @@ TEST(SpectrumBudget, DyingCacheUnregistersItsEntries) {
   }
   EXPECT_EQ(budget->stats().entries, 0u);
   EXPECT_EQ(budget->stats().bytes, 0u);
+}
+
+// A retired cache's entries stay in the budget's heap, marked dead, until
+// they surface or the heap compacts. The dying caches below live on the
+// heap, so ASan (CI's sanitize job) reports any call back into one as a
+// use-after-free; CI's TSan jobs run this suite at widths 2 and 4.
+constexpr std::size_t kSpec256 = 129 * sizeof(fft::cplx);  // n = 256
+constexpr std::size_t kSpec128 = 65 * sizeof(fft::cplx);   // n = 128
+
+TEST(SpectrumBudget, RetiredCacheIsNeverCalledBack) {
+  const std::vector<double> taps{0.2, 0.5, 0.29};
+  auto budget = std::make_shared<stencil::SpectrumBudget>(2 * kSpec256 + 100);
+  const auto make_cache = [&] {
+    auto c = std::make_unique<stencil::KernelCache>(
+        stencil::LinearStencil{taps, 0});
+    c->set_spectrum_budget(budget);
+    return c;
+  };
+  auto live = make_cache();
+
+  // One spectrum larger than the cap is admitted (its caller is about to
+  // use it), so the budget sits over its cap when its owner dies; the
+  // bytes leave at once, not when the entry surfaces.
+  auto dying = make_cache();
+  (void)dying->power_spectrum(8, 1024);
+  EXPECT_GT(budget->stats().bytes, budget->max_bytes());
+  dying.reset();
+  EXPECT_EQ(budget->stats().bytes, 0u);
+  EXPECT_EQ(budget->stats().entries, 0u);
+
+  // A dead entry older than every live one sits at the heap top when
+  // admissions overflow the cap: the eviction pass drops it without
+  // calling its owner back, then evicts the live LRU entry.
+  dying = make_cache();
+  (void)dying->power_spectrum(8, 256);
+  (void)live->power_spectrum(8, 256);
+  dying.reset();
+  EXPECT_EQ(budget->stats().entries, 1u);
+  EXPECT_EQ(budget->stats().bytes, kSpec256);
+  (void)live->power_spectrum(16, 256);
+  EXPECT_EQ(budget->stats().evictions, 0u);
+  (void)live->power_spectrum(32, 256);
+  const auto st = budget->stats();
+  EXPECT_EQ(st.evictions, 1u);  // the dead entry is dropped, not evicted
+  EXPECT_EQ(st.entries, 2u);
+  EXPECT_EQ(st.bytes, 2 * kSpec256);
+  EXPECT_EQ(live->stats().spectra, 2u);
+}
+
+TEST(SpectrumBudget, ThousandRetirementsCountLiveEntriesOnly) {
+  // 1000 caches come and go against a budget that never fills: stats()
+  // counts live spectra only, before and after each heap compaction.
+  const std::vector<double> taps{0.2, 0.5, 0.29};
+  auto budget = std::make_shared<stencil::SpectrumBudget>(std::size_t{1} << 30);
+  stencil::KernelCache keeper({taps, 0});
+  keeper.set_spectrum_budget(budget);
+  (void)keeper.power_spectrum(8, 128);
+  std::vector<std::unique_ptr<stencil::KernelCache>> alive;
+  std::size_t live = 1;
+  for (int i = 0; i < 1000; ++i) {
+    auto c = std::make_unique<stencil::KernelCache>(
+        stencil::LinearStencil{taps, 0});
+    c->set_spectrum_budget(budget);
+    const std::size_t k = 1 + static_cast<std::size_t>(i) % 3;
+    for (std::size_t j = 0; j < k; ++j)
+      (void)c->power_spectrum(std::uint64_t{8} << j, 128);
+    live += k;
+    alive.push_back(std::move(c));
+    if (alive.size() > 4) {
+      live -= alive.front()->stats().spectra;
+      alive.erase(alive.begin());
+    }
+    const auto st = budget->stats();
+    ASSERT_EQ(st.entries, live) << "after cache " << i;
+    ASSERT_EQ(st.bytes, live * kSpec128) << "after cache " << i;
+  }
+  alive.clear();
+  EXPECT_EQ(budget->stats().entries, 1u);
+  EXPECT_EQ(budget->stats().bytes, kSpec128);
+  EXPECT_EQ(budget->stats().evictions, 0u);
+}
+
+TEST(SpectrumBudget, ExactLruOrderWithDeadEntriesOnTop) {
+  // Dead entries hold the oldest stamps, so they sit above every live entry
+  // in the heap; evictions must still take the live entries in exact LRU
+  // order, across caches, honouring a warm hit's refreshed stamp.
+  const std::vector<double> taps{0.2, 0.5, 0.29};
+  auto budget = std::make_shared<stencil::SpectrumBudget>(4 * kSpec256);
+  stencil::KernelCache a({taps, 0}), b({taps, 0});
+  a.set_spectrum_budget(budget);
+  b.set_spectrum_budget(budget);
+  auto dying =
+      std::make_unique<stencil::KernelCache>(stencil::LinearStencil{taps, 0});
+  dying->set_spectrum_budget(budget);
+  (void)dying->power_spectrum(8, 256);
+  (void)dying->power_spectrum(16, 256);
+  const auto a1 = a.power_spectrum(8, 256);
+  (void)a.power_spectrum(16, 256);  // a2
+  dying.reset();
+  EXPECT_EQ(budget->stats().entries, 2u);
+  EXPECT_EQ(budget->stats().bytes, 2 * kSpec256);
+
+  EXPECT_EQ(a.power_spectrum(8, 256).get(), a1.get());  // a1 is now newest
+  const auto b1 = b.power_spectrum(8, 256);
+  const auto a3 = a.power_spectrum(32, 256);
+  EXPECT_EQ(budget->stats().evictions, 0u);  // exactly at the cap
+  // Live LRU order: a2, a1, b1, a3, then each new admission.
+  const auto b2 = b.power_spectrum(16, 256);  // evicts a2
+  EXPECT_EQ(budget->stats().evictions, 1u);
+  EXPECT_EQ(a.stats().spectra, 2u);
+  EXPECT_EQ(b.stats().spectra, 2u);
+  const auto a4 = a.power_spectrum(64, 256);  // evicts a1
+  EXPECT_EQ(budget->stats().evictions, 2u);
+  EXPECT_EQ(a.stats().spectra, 2u);
+  const auto b3 = b.power_spectrum(32, 256);  // evicts b1
+  EXPECT_EQ(budget->stats().evictions, 3u);
+  EXPECT_EQ(b.stats().spectra, 2u);
+  // The survivors are exactly a3, a4, b2, b3 (warm hits return the same
+  // entries).
+  EXPECT_EQ(a.power_spectrum(32, 256).get(), a3.get());
+  EXPECT_EQ(a.power_spectrum(64, 256).get(), a4.get());
+  EXPECT_EQ(b.power_spectrum(16, 256).get(), b2.get());
+  EXPECT_EQ(b.power_spectrum(32, 256).get(), b3.get());
+  EXPECT_EQ(budget->stats().entries, 4u);
+  (void)b1;
+}
+
+TEST(SpectrumBudget, ConcurrentRetirementsAndEvictions) {
+  // Pool tasks fill and drop their own caches against one small budget
+  // while also admitting into a shared cache: evictions cross caches and
+  // retirements race admissions. The counts settle on the shared cache's.
+  const std::vector<double> taps{0.2, 0.5, 0.29};
+  auto budget = std::make_shared<stencil::SpectrumBudget>(8 * kSpec128);
+  stencil::KernelCache shared({taps, 0});
+  shared.set_spectrum_budget(budget);
+  core::TaskPool::instance().for_each(64, [&](std::size_t t) {
+    stencil::KernelCache own({taps, 0});
+    own.set_spectrum_budget(budget);
+    for (std::uint64_t h = 1; h <= 32; h *= 2) {
+      EXPECT_EQ(own.power_spectrum(h, 128)->klen, 2 * h + 1);
+      (void)shared.power_spectrum(h + t % 7, 128);
+    }
+  });
+  const auto st = budget->stats();
+  const auto sh = shared.stats();
+  EXPECT_EQ(st.entries, sh.spectra);
+  EXPECT_EQ(st.bytes, sh.spectrum_bytes);
+  EXPECT_LE(st.bytes, budget->max_bytes());
+  EXPECT_GT(st.evictions, 0u);
 }
 
 TEST(LinearStencil, NaiveApplyShrinksCorrectly) {
