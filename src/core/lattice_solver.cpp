@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 
 #include "amopt/common/assert.hpp"
 #include "amopt/core/task_pool.hpp"
@@ -413,12 +414,17 @@ LatticeRow LatticeSolver::descend(LatticeRow top, std::int64_t i_stop) {
       break;
     }
     const std::int64_t L_red = std::max<std::int64_t>((row.q + 1) / g_, 1);
-    const std::int64_t L = std::min(L_red, row.i - i_stop);
-    if (L <= cfg_.base_case) {
+    const std::int64_t L_max = std::min(L_red, row.i - i_stop);
+    if (L_max <= cfg_.base_case) {
       step_naive_into(row, false, next);
       std::swap(row, next);
       continue;
     }
+    // Cut the trapezoid at a power of two (DESIGN.md §1.2): every depth
+    // then halves a power of two, so each strip's correlations fill their
+    // transforms exactly and a height needs a spectrum at one size only.
+    const auto L = static_cast<std::int64_t>(
+        std::bit_floor(static_cast<std::uint64_t>(L_max)));
     next.i = row.i - L;
     // resize, not assign: solve() fills every cell up to the returned
     // boundary, so the old contents need no zeroing pass.

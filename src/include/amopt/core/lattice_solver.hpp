@@ -19,6 +19,12 @@
 //      which *discovers* the boundary location.
 // Work O(L log^2 L), span O(L); the conv and the strip run as pool tasks.
 //
+// descend() cuts each top-level trapezoid at the largest power of two that
+// fits the red width and the rows left (DESIGN.md §1.2). Every depth then
+// halves a power of two, so a strip's first-half correlation needs exactly
+// its power-of-two transform and each height uses one spectrum size; only
+// the top-level correlations over the whole red row stay padded.
+//
 // Boundary-motion caveat (see DESIGN.md): the <=1-cell-per-step guarantee is
 // proved from row T-2 downward, so pricers naive-step the first two rows
 // before calling descend(). descend() itself only assumes the property holds
@@ -58,7 +64,13 @@ struct LatticeRow {
 inline constexpr std::int64_t kTaskCutoff = 512;
 
 struct SolverConfig {
-  int base_case = 8;     ///< trapezoid height switch to naive
+  /// Trapezoid height at or below which both solvers sweep rows directly
+  /// (the recursion's leaf). The paper's §5.1 found 8 best for its code;
+  /// here 64 is the default (DESIGN.md §9): leaves of 32-128 rows measure
+  /// flat on the lattices and 8-64 on BSM, and a 64-row leaf amortizes its
+  /// per-row boundary scan and runs none of the tiny direct correlations
+  /// an 8-row leaf needs.
+  int base_case = 64;
   bool parallel = true;  ///< fork trapezoid halves >= kTaskCutoff as tasks
   /// Accuracy knobs of the pricing::Engine::boundary (ALO) engine — the
   /// lattice/FDM solvers ignore them. Defaults are the "accurate" preset

@@ -174,12 +174,14 @@ class Server {
   /// shard's drain task has disarmed. Idempotent; the destructor calls it.
   void stop();
 
-  /// Bounded-grace stop: like stop(), but if the shards are not quiet
-  /// once `grace` elapses, the remaining QUEUED items are shed with
-  /// `Status::overloaded` (counted as `drain_shed`) instead of priced.
-  /// A `price_many` already in flight always completes — the bound is on
-  /// queue drain, not on interrupting compute. Every submitted item still
-  /// reaches exactly one terminal status before this returns.
+  /// Bounded-grace stop: like stop(), but items a shard's drain pops once
+  /// `grace` has elapsed are shed with `Status::overloaded` (counted as
+  /// `drain_shed`) instead of priced. The cutoff is handed to every shard
+  /// before stop waits, so each drain sheds on its own clock, however late
+  /// the stopping thread is scheduled. A `price_many` already in flight
+  /// always completes — the bound is on queue drain, not on interrupting
+  /// compute. Every submitted item still reaches exactly one terminal
+  /// status before this returns.
   void stop(std::chrono::microseconds grace);
 
   [[nodiscard]] const ServerConfig& config() const noexcept { return cfg_; }

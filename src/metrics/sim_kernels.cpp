@@ -1,6 +1,7 @@
 #include "amopt/metrics/sim_kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <complex>
 #include <map>
 #include <memory>
@@ -9,6 +10,7 @@
 
 #include "amopt/common/aligned.hpp"
 #include "amopt/common/assert.hpp"
+#include "amopt/core/lattice_solver.hpp"
 #include "amopt/pricing/boundary.hpp"
 #include "amopt/pricing/bsm_fdm.hpp"
 
@@ -410,13 +412,16 @@ struct LatticeReplay {
     while (i > 0) {
       const std::int64_t qi = q[static_cast<std::size_t>(i)];
       if (qi < 0) return;
-      const std::int64_t L =
+      const std::int64_t L_max =
           std::min(std::max<std::int64_t>((qi + 1) / g, 1), i);
-      if (L <= base_case) {
+      if (L_max <= base_case) {
         row_sweep(qi + 1);
         i -= 1;
         continue;
       }
+      // The solver's power-of-two cut (LatticeSolver::descend).
+      const auto L = static_cast<std::int64_t>(
+          std::bit_floor(static_cast<std::uint64_t>(L_max)));
       solve(i, 0, qi, L);
       i -= L;
     }
@@ -515,6 +520,8 @@ CacheStats simulate_fft_convolution(std::size_t n_in, std::size_t n_kernel,
 CacheStats simulate_kernel(SimAlg alg, const OptionSpec& spec,
                            std::int64_t T) {
   AMOPT_EXPECTS(T >= 2);
+  // The replays follow the shipped solvers' default leaf height.
+  constexpr std::int64_t kBaseCase = core::SolverConfig{}.base_case;
   CacheSim sim;
   FftReplayer fr(sim);
   switch (alg) {
@@ -529,7 +536,7 @@ CacheStats simulate_kernel(SimAlg alg, const OptionSpec& spec,
       break;
     case SimAlg::bopm_fft: {
       const auto q = pricing::bopm_call_boundary_vanilla(spec, T);
-      LatticeReplay{sim, fr, q, 1, 8, {}, {}}.descend();
+      LatticeReplay{sim, fr, q, 1, kBaseCase, {}, {}}.descend();
       break;
     }
     case SimAlg::topm_vanilla:
@@ -537,7 +544,7 @@ CacheStats simulate_kernel(SimAlg alg, const OptionSpec& spec,
       break;
     case SimAlg::topm_fft: {
       const auto q = pricing::topm_call_boundary_vanilla(spec, T);
-      LatticeReplay{sim, fr, q, 2, 8, {}, {}}.descend();
+      LatticeReplay{sim, fr, q, 2, kBaseCase, {}, {}}.descend();
       break;
     }
     case SimAlg::bsm_vanilla:
@@ -547,7 +554,7 @@ CacheStats simulate_kernel(SimAlg alg, const OptionSpec& spec,
       const auto f = pricing::bsm::exercise_boundary_vanilla(spec, T);
       const std::int64_t kr0 =
           pricing::bsm::make_layout(pricing::derive_bsm(spec, T)).kr0;
-      FdmReplay{sim, fr, f, 10, {}, {}}.run(T, kr0);
+      FdmReplay{sim, fr, f, kBaseCase, {}, {}}.run(T, kr0);
       break;
     }
   }

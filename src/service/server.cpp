@@ -86,9 +86,11 @@ struct Server::Shard {
   bool stopping = false;
   bool armed = false;
   core::TaskPool::Task drain_task;  ///< reusable: re-pushed on each arm
-  /// stop(grace) sets this once the grace expires: the drain stops
-  /// pricing queued items and sheds them with `overloaded` instead.
-  std::atomic<bool> shed_pending{false};
+  /// stop(grace)'s cutoff as a steady_clock count (max() = none), stored
+  /// before stop waits: a drain that pops items at or after it sheds them
+  /// with `overloaded` instead of pricing them.
+  std::atomic<std::chrono::steady_clock::rep> shed_after{
+      std::chrono::steady_clock::time_point::max().time_since_epoch().count()};
 
   // Drain-owned, reused across batches (capacities converge, then stay).
   // Exclusive ownership follows from the `armed` protocol above.
@@ -143,13 +145,15 @@ struct Server::Shard {
         size -= n;
       }
 
-      // Shed BEFORE pricing: a bounded-grace drain sheds everything still
-      // queued, and an expired deadline means nobody wants the quote any
-      // more — either way the pricing batch is built only from items
-      // someone is still waiting on. Shed fills are static-message and
-      // capacity-reusing, so shedding under overload is allocation-free.
-      const bool shed_all = shed_pending.load(std::memory_order_relaxed);
+      // Shed BEFORE pricing: items popped past a stop(grace) cutoff shed
+      // here, on the drain's own clock, and an expired deadline means
+      // nobody wants the quote any more — either way the pricing batch is
+      // built only from items someone is still waiting on. Shed fills are
+      // static-message and capacity-reusing, so shedding under overload is
+      // allocation-free.
       const auto now = std::chrono::steady_clock::now();
+      const bool shed_all = now.time_since_epoch().count() >=
+                            shed_after.load(std::memory_order_relaxed);
       batch.clear();
       live.clear();
       std::uint64_t n_deadline = 0, n_drain = 0;
@@ -220,35 +224,28 @@ void Server::stop() { stop_impl(nullptr); }
 void Server::stop(std::chrono::microseconds grace) { stop_impl(&grace); }
 
 void Server::stop_impl(const std::chrono::microseconds* grace) {
+  // The grace cutoff goes to every shard before anything waits, so the
+  // drains shed on their own clock: a drain that pops after the cutoff
+  // finishes whatever price_many is in flight and completes the rest of
+  // its queue with `overloaded` — bounded by compute already started, not
+  // by queue depth, and not by when this thread next gets scheduled.
+  const auto now = std::chrono::steady_clock::now();
   for (auto& sp : shards_) {
     std::lock_guard<std::mutex> lock(sp->m);
+    if (grace != nullptr)
+      sp->shed_after.store((now + *grace).time_since_epoch().count(),
+                           std::memory_order_relaxed);
     sp->stopping = true;
     sp->cv.notify_all();  // cut any in-flight coalescing linger short
   }
   // Quiesce: an armed drain keeps popping until its queue is empty, then
   // disarms — wait for that, item by shard. The pool guarantees at least
   // one worker thread, so a scheduled drain task always executes.
-  const auto cutoff = grace == nullptr
-                          ? std::chrono::steady_clock::time_point::max()
-                          : std::chrono::steady_clock::now() + *grace;
-  bool shedding = false;
   for (auto& sp : shards_) {
     for (;;) {
       {
         std::lock_guard<std::mutex> lock(sp->m);
         if (sp->size == 0 && !sp->armed) break;
-      }
-      if (!shedding && std::chrono::steady_clock::now() >= cutoff) {
-        // Grace expired: flip every shard to shed mode. The drains finish
-        // whatever price_many is in flight, then complete the rest of
-        // their queues with `overloaded` — bounded by compute already
-        // started, not by queue depth.
-        shedding = true;
-        for (auto& other : shards_) {
-          other->shed_pending.store(true, std::memory_order_relaxed);
-          std::lock_guard<std::mutex> lock(other->m);
-          other->cv.notify_all();
-        }
       }
       std::this_thread::yield();
     }

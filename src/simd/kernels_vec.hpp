@@ -71,18 +71,36 @@ void csquare(cplx* a, std::size_t n) {
 //
 // One range body per sweep: greedy vectors from j0 plus a scalar tail, so a
 // chunk that starts on two_row_sweep_driver's alignment grid reproduces the
-// whole-row sweep's vector/scalar partition exactly.
+// whole-row sweep's vector/scalar partition exactly. The vectors run four
+// to a block first: four independent accumulator chains keep the FMA
+// pipeline full where one chain waits out each multiply-add's latency.
+// Every lane still evaluates its own expression in the one-vector order,
+// and the four-vector blocks cover whole vectors on the same lane grid, so
+// the bits and the vector/scalar partition are those of one vector a step.
+
+/// K vectors of taps_range from out[0]: one accumulator chain per vector,
+/// each lane summing m = 0..ntaps-1 from a zero seed.
+template <class V, std::size_t K>
+void taps_block(const double* in, const double* taps, std::size_t ntaps,
+                double* out) {
+  typename V::reg acc[K];
+  for (std::size_t k = 0; k < K; ++k) acc[k] = V::zero();
+  for (std::size_t m = 0; m < ntaps; ++m) {
+    const typename V::reg t = V::set1(taps[m]);
+    for (std::size_t k = 0; k < K; ++k)
+      acc[k] = V::madd(t, V::load(in + m + k * V::kLanes), acc[k]);
+  }
+  for (std::size_t k = 0; k < K; ++k) V::store(out + k * V::kLanes, acc[k]);
+}
 
 template <class V>
 void taps_range(const double* in, const double* taps, std::size_t ntaps,
                 double* out, std::size_t j0, std::size_t j1) {
+  constexpr std::size_t W = V::kLanes;
   std::size_t j = j0;
-  for (; j + V::kLanes <= j1; j += V::kLanes) {
-    typename V::reg acc = V::zero();
-    for (std::size_t m = 0; m < ntaps; ++m)
-      acc = V::madd(V::set1(taps[m]), V::load(in + j + m), acc);
-    V::store(out + j, acc);
-  }
+  for (; j + 4 * W <= j1; j += 4 * W)
+    taps_block<V, 4>(in + j, taps, ntaps, out + j);
+  for (; j + W <= j1; j += W) taps_block<V, 1>(in + j, taps, ntaps, out + j);
   for (; j < j1; ++j) {
     double acc = 0.0;
     for (std::size_t m = 0; m < ntaps; ++m) acc += taps[m] * in[j + m];
@@ -107,19 +125,32 @@ void correlate_taps_2row(const double* in, const double* taps,
       });
 }
 
+/// K vectors of stencil3_range from out[0], each its own mul, madd, madd
+/// chain.
+template <class V, std::size_t K>
+void stencil3_block(const double* in, typename V::reg vb, typename V::reg vc,
+                    typename V::reg va, double* out) {
+  typename V::reg acc[K];
+  for (std::size_t k = 0; k < K; ++k)
+    acc[k] = V::mul(vb, V::load(in + k * V::kLanes));
+  for (std::size_t k = 0; k < K; ++k)
+    acc[k] = V::madd(vc, V::load(in + k * V::kLanes + 1), acc[k]);
+  for (std::size_t k = 0; k < K; ++k)
+    acc[k] = V::madd(va, V::load(in + k * V::kLanes + 2), acc[k]);
+  for (std::size_t k = 0; k < K; ++k) V::store(out + k * V::kLanes, acc[k]);
+}
+
 template <class V>
 void stencil3_range(const double* in, double b, double c, double a,
                     double* out, std::size_t j0, std::size_t j1) {
   const typename V::reg vb = V::set1(b);
   const typename V::reg vc = V::set1(c);
   const typename V::reg va = V::set1(a);
+  constexpr std::size_t W = V::kLanes;
   std::size_t j = j0;
-  for (; j + V::kLanes <= j1; j += V::kLanes) {
-    typename V::reg acc = V::mul(vb, V::load(in + j));
-    acc = V::madd(vc, V::load(in + j + 1), acc);
-    acc = V::madd(va, V::load(in + j + 2), acc);
-    V::store(out + j, acc);
-  }
+  for (; j + 4 * W <= j1; j += 4 * W)
+    stencil3_block<V, 4>(in + j, vb, vc, va, out + j);
+  for (; j + W <= j1; j += W) stencil3_block<V, 1>(in + j, vb, vc, va, out + j);
   for (; j < j1; ++j) out[j] = b * in[j] + c * in[j + 1] + a * in[j + 2];
 }
 

@@ -11,6 +11,7 @@
 #include "amopt/pricing/bopm.hpp"
 #include "amopt/pricing/params.hpp"
 #include "amopt/pricing/topm.hpp"
+#include "amopt/stencil/kernel_cache.hpp"
 
 namespace {
 
@@ -60,11 +61,14 @@ TEST_P(BopmSolverConfigs, TrapezoidDescendMatchesNaiveDescend) {
     EXPECT_NEAR(a.red[j], b.red[j], 1e-9) << "j=" << j;
 }
 
+constexpr int kDefaultBase = core::SolverConfig{}.base_case;
+
 INSTANTIATE_TEST_SUITE_P(
     Configs, BopmSolverConfigs,
     ::testing::Values(SolverCase{2, false}, SolverCase{8, false},
                       SolverCase{8, true}, SolverCase{32, true},
-                      SolverCase{64, false}));
+                      SolverCase{kDefaultBase, false},
+                      SolverCase{kDefaultBase, true}));
 
 TEST(LatticeSolver, IntermediateStopsAgree) {
   const OptionSpec spec = pricing::paper_spec();
@@ -92,21 +96,104 @@ TEST(LatticeSolver, TrinomialDescendMatchesNaive) {
   // T covers many trapezoid shapes, and each descent must keep its
   // boundary inside the lattice (row 0 holds one cell).
   const OptionSpec spec = pricing::paper_spec();
-  for (std::int64_t T = 64; T <= 4096; T *= 2) {
+  for (const int base : {8, kDefaultBase}) {
+    core::SolverConfig cfg;
+    cfg.base_case = base;
+    for (std::int64_t T = 64; T <= 4096; T *= 2) {
+      const auto prm = pricing::derive_topm(spec, T);
+      const pricing::topm::CallGreen green(spec, prm);
+      core::LatticeSolver fast({{prm.s0, prm.s1, prm.s2}, 0}, green, cfg);
+      core::LatticeSolver slow({{prm.s0, prm.s1, prm.s2}, 0}, green, {});
+
+      core::LatticeRow top = pricing::topm::expiry_row(prm, green);
+      top = fast.step_naive(top);
+      top = fast.step_naive(top);
+      const auto a = fast.descend(top, 0);
+      const auto b = naive_descend(slow, top, 0);
+      EXPECT_EQ(a.q, b.q) << "base=" << base << " T=" << T;
+      ASSERT_EQ(a.red.size(), b.red.size()) << "base=" << base << " T=" << T;
+      for (std::size_t j = 0; j < a.red.size(); ++j)
+        EXPECT_NEAR(a.red[j], b.red[j], 1e-9)
+            << "base=" << base << " T=" << T << " j=" << j;
+    }
+  }
+}
+
+/// R > Y: the call boundary starts ~165 cells above the middle of the top
+/// row at T = 2^13 (q ~ T/2 + 165), so every power-of-two cut leaves a
+/// remainder and each descent walks a chain of trapezoids 2^12, 2^11, ...
+OptionSpec remainder_chain_spec() {
+  OptionSpec spec;
+  spec.S = 100.0;
+  spec.K = 100.0;
+  spec.R = 0.03;
+  spec.V = 0.3;
+  spec.Y = 0.01;
+  spec.expiry_years = 1.0;
+  return spec;
+}
+
+TEST(LatticeSolver, RemainderTrapezoidChainMatchesNaive) {
+  const OptionSpec spec = remainder_chain_spec();
+  const std::int64_t T = 8192;
+  {
+    const auto prm = pricing::derive_bopm(spec, T);
+    const pricing::bopm::CallGreen green(spec, prm);
+    core::LatticeSolver slow({{prm.s0, prm.s1}, 0}, green, {});
+    core::LatticeRow top = pricing::bopm::expiry_row(prm, green);
+    top = slow.step_naive(top, true);
+    top = slow.step_naive(top, true);
+    ASSERT_GT(top.q, T / 2 + 64);  // the chain this test is about
+    const auto b = naive_descend(slow, top, 0);
+    for (const int base : {8, kDefaultBase}) {
+      core::SolverConfig cfg;
+      cfg.base_case = base;
+      core::LatticeSolver fast({{prm.s0, prm.s1}, 0}, green, cfg);
+      const auto a = fast.descend(top, 0);
+      EXPECT_EQ(a.q, b.q) << "bopm base=" << base;
+      ASSERT_EQ(a.red.size(), b.red.size()) << "bopm base=" << base;
+      for (std::size_t j = 0; j < a.red.size(); ++j)
+        EXPECT_NEAR(a.red[j], b.red[j], 1e-9) << "bopm base=" << base;
+    }
+  }
+  {
     const auto prm = pricing::derive_topm(spec, T);
     const pricing::topm::CallGreen green(spec, prm);
-    core::LatticeSolver fast({{prm.s0, prm.s1, prm.s2}, 0}, green, {});
     core::LatticeSolver slow({{prm.s0, prm.s1, prm.s2}, 0}, green, {});
-
     core::LatticeRow top = pricing::topm::expiry_row(prm, green);
-    top = fast.step_naive(top);
-    top = fast.step_naive(top);
-    const auto a = fast.descend(top, 0);
+    top = slow.step_naive(top, true);
+    top = slow.step_naive(top, true);
     const auto b = naive_descend(slow, top, 0);
-    EXPECT_EQ(a.q, b.q) << "T=" << T;
-    ASSERT_EQ(a.red.size(), b.red.size()) << "T=" << T;
+    core::LatticeSolver fast({{prm.s0, prm.s1, prm.s2}, 0}, green, {});
+    const auto a = fast.descend(top, 0);
+    EXPECT_EQ(a.q, b.q) << "topm";
+    ASSERT_EQ(a.red.size(), b.red.size()) << "topm";
     for (std::size_t j = 0; j < a.red.size(); ++j)
-      EXPECT_NEAR(a.red[j], b.red[j], 1e-9) << "T=" << T << " j=" << j;
+      EXPECT_NEAR(a.red[j], b.red[j], 1e-9) << "topm";
+  }
+}
+
+TEST(LatticeSolver, PowerOfTwoTrapezoidsBuildFewSpectra) {
+  // A cold solve at T = 2^13 on a fresh cache. Inside every strip the
+  // heights are the powers of two 2^6..2^11, each at exactly its own
+  // transform size: one spectrum per height. Only the top-level
+  // trapezoids' whole-row correlations add padded sizes of their own, so
+  // the solve admits at most a dozen spectra. (Trapezoids sized to the
+  // whole red width built ~32 here: every strip sat just above a power of
+  // two, and each height met several transform sizes.)
+  const OptionSpec spec = remainder_chain_spec();
+  const std::int64_t T = 8192;
+  {
+    const auto prm = pricing::derive_bopm(spec, T);
+    stencil::KernelCache cache({{prm.s0, prm.s1}, 0});
+    (void)pricing::bopm::american_call_fft(spec, T, {}, &cache);
+    EXPECT_LE(cache.stats().spectra, 12u);
+  }
+  {
+    const auto prm = pricing::derive_topm(spec, T);
+    stencil::KernelCache cache({{prm.s0, prm.s1, prm.s2}, 0});
+    (void)pricing::topm::american_call_fft(spec, T, {}, &cache);
+    EXPECT_LE(cache.stats().spectra, 12u);
   }
 }
 

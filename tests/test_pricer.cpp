@@ -531,7 +531,8 @@ TEST(Pricer, PerRequestSolverOverride) {
   q.spec = paper_spec();
   q.T = 512;
   core::SolverConfig sc;
-  sc.base_case = 32;
+  sc.base_case = 8;  // not the default: the override must reach the solver
+  ASSERT_NE(sc.base_case, core::SolverConfig{}.base_case);
   q.solver = sc;
   Pricer session;
   const PricingResult res = session.price_one(q);
