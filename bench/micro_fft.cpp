@@ -1,7 +1,7 @@
 // google-benchmark microbenches for the FFT substrate: complex and real
-// transform throughput, the two convolution pipelines (direct and
-// real-input R2C/C2R), and the allocation-free Workspace paths the solvers
-// rely on.
+// transform throughput, the two convolution pipelines (direct and the
+// negacyclic real-input one), and the allocation-free Workspace paths the
+// solvers rely on.
 //
 // On top of the statically registered benches (which run at the ambient
 // dispatch level, i.e. the production default), main() registers one copy
@@ -11,7 +11,9 @@
 // the vector paths' speedup over scalar. The spectral kernel engine adds
 // per-path pairs the guard holds against each other: BM_CorrelateSpectral
 // (cached kernel spectrum) vs BM_CorrelateValidWorkspace (transform per
-// call), BM_PolyPowerFft (aliased csquare squarings) vs its two-transform
+// call), BM_CorrelateSpectralFill (a spectral correlation at transform
+// size n) vs BM_RealFftForward (one R2C forward of the same n),
+// BM_PolyPowerFft (aliased csquare squarings) vs its two-transform
 // reference, BM_KernelLadderDescent (shared squaring ladder) vs
 // BM_KernelPowersUnshared, and BM_KernelSpectrumFromTaps (a cold kernel
 // spectrum raised bin by bin from the taps) vs BM_KernelSpectrumViaPower
@@ -271,6 +273,31 @@ void BM_CorrelateSpectralPath(benchmark::State& state,
   }
 }
 
+// fill-x numerator: a spectral correlation whose input fills its
+// transform exactly (klen = n/2, out = n/2 + 1, input n: a power-of-two
+// trapezoid's first-half strip), timed at its transform size n so it pairs
+// with BM_RealFftForward<level>/n. check_bench holds it at <= 1.6 R2C
+// forwards of the same n at n >= 8192: the negacyclic pipeline is two
+// half-size transforms plus three streaming passes, the R2C forward one
+// half-size transform plus its own gather and untangle passes.
+void BM_CorrelateSpectralFillPath(benchmark::State& state,
+                                  amopt::simd::Level lvl) {
+  const LevelScope scope(lvl);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto in = random_real(n);
+  const auto kernel = random_real(n / 2);
+  std::vector<double> out(n / 2 + 1);
+  amopt::conv::Workspace ws;
+  const amopt::fft::RealSpectrum kspec = amopt::conv::kernel_spectrum(
+      kernel, amopt::conv::correlate_fft_size(out.size(), kernel.size()),
+      /*reversed=*/true, ws);
+  amopt::conv::correlate_valid(in, kspec, out, ws);  // warm-up
+  for (auto _ : state) {
+    amopt::conv::correlate_valid(in, kspec, out, ws);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+
 // Production kernel power: binary exponentiation whose squarings ride the
 // aliased one-transform fast path (csquare).
 void BM_PolyPowerFftPath(benchmark::State& state, amopt::simd::Level lvl) {
@@ -432,8 +459,9 @@ void BM_KernelPowersUnsharedPath(benchmark::State& state,
 // One cold tap group's kernel spectrum, built two ways for taps
 // {0.24, 0.5, 0.25} at h = n/4 (the kernel fills half the padded size, as at
 // a descent's top levels): a fresh KernelCache, whose spectrum tier raises
-// each bin R(w_k)^h straight from the taps, against the time-domain route
-// the tier used to take — poly::power, then the reversed R2C transform.
+// each bin R(y_j)^h straight from the taps, against the time-domain route
+// the tier used to take — poly::power, then the reversed negacyclic
+// transform.
 void BM_KernelSpectrumFromTapsPath(benchmark::State& state,
                                    amopt::simd::Level lvl) {
   const LevelScope scope(lvl);
@@ -486,6 +514,10 @@ void register_per_path_benches() {
         ->Range(1 << 10, 1 << 16);
     benchmark::RegisterBenchmark(("BM_CorrelateSpectral" + tag).c_str(),
                                  BM_CorrelateSpectralPath, lvl)
+        ->RangeMultiplier(4)
+        ->Range(1 << 10, 1 << 16);
+    benchmark::RegisterBenchmark(("BM_CorrelateSpectralFill" + tag).c_str(),
+                                 BM_CorrelateSpectralFillPath, lvl)
         ->RangeMultiplier(4)
         ->Range(1 << 10, 1 << 16);
     benchmark::RegisterBenchmark(("BM_CorrelateSpectralWidePad" + tag).c_str(),

@@ -11,13 +11,13 @@
 
 namespace amopt::core {
 
-FdmSolver::FdmSolver(stencil::LinearStencil st, const FdmGreen& green,
+FdmSolver::FdmSolver(stencil::LinearStencil st, const ExerciseTable& green,
                      SolverConfig cfg)
     : FdmSolver(nullptr, std::move(st), green, cfg) {}
 
 FdmSolver::FdmSolver(stencil::KernelCache* shared,
-                     stencil::LinearStencil fallback, const FdmGreen& green,
-                     SolverConfig cfg)
+                     stencil::LinearStencil fallback,
+                     const ExerciseTable& green, SolverConfig cfg)
     : owned_kernels_(shared != nullptr ? nullptr
                                        : std::make_unique<stencil::KernelCache>(
                                              std::move(fallback))),

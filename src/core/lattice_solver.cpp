@@ -30,12 +30,12 @@ constexpr std::size_t kInlineTailCap = 8;
 }  // namespace
 
 LatticeSolver::LatticeSolver(stencil::LinearStencil st,
-                             const LatticeGreen& green, SolverConfig cfg)
+                             const ExerciseTable& green, SolverConfig cfg)
     : LatticeSolver(nullptr, std::move(st), green, cfg) {}
 
 LatticeSolver::LatticeSolver(stencil::KernelCache* shared,
                              stencil::LinearStencil fallback,
-                             const LatticeGreen& green, SolverConfig cfg)
+                             const ExerciseTable& green, SolverConfig cfg)
     : owned_kernels_(shared != nullptr ? nullptr
                                        : std::make_unique<stencil::KernelCache>(
                                              std::move(fallback))),
@@ -67,11 +67,11 @@ void LatticeSolver::step_naive_into(const LatticeRow& row, bool unbounded_scan,
   const std::span<const double> taps = kernels_->stencil().taps;
   const std::int64_t jmax =
       unbounded_scan ? row_width(next.i) : std::min(row.q, row_width(next.i));
-  next.red.resize(
-      static_cast<std::size_t>(std::max<std::int64_t>(jmax + 1, 0)));
+  next.red.resize(static_cast<std::size_t>(jmax + 1));
   // Same split as solve_base: dispatched sweep over the cells whose tap
-  // windows stay red, scalar tail over the green-extension cells, then the
-  // exercise-comparison scan that discovers the new boundary.
+  // windows stay red; the cells past it read green extension values and
+  // are evaluated one at a time, only as the boundary walk below visits
+  // them.
   const std::int64_t g = static_cast<std::int64_t>(taps.size()) - 1;
   const std::int64_t jv = std::min(jmax, row.q - g);
   if (jv >= 0) {
@@ -79,40 +79,43 @@ void LatticeSolver::step_naive_into(const LatticeRow& row, bool unbounded_scan,
                                    next.red.data(),
                                    static_cast<std::size_t>(jv + 1));
   }
-  const std::int64_t j0 = std::max<std::int64_t>(0, jv + 1);
-  if (j0 <= jmax) {
-    // Hoist the green values the tail cells read into one buffer: adjacent
-    // tap windows overlap, so the oracle (often a transcendental) was being
-    // evaluated up to taps.size() times per index. Same values, same
-    // accumulation order — bit-identical, just fewer oracle calls.
-    const std::int64_t glo = row.q + 1;  // first green index a tail cell reads
-    const std::int64_t ghi = jmax + g;
-    ScratchStack::Frame frame(thread_scratch());
-    std::span<double> gbuf =
-        frame.alloc(static_cast<std::size_t>(ghi - glo + 1));
-    for (std::int64_t idx = glo; idx <= ghi; ++idx)
-      gbuf[static_cast<std::size_t>(idx - glo)] = green_.value(row.i, idx);
-    const auto value_at = [&](std::int64_t j) {
-      return j <= row.q ? row.red[static_cast<std::size_t>(j)]
-                        : gbuf[static_cast<std::size_t>(j - glo)];
-    };
-    for (std::int64_t j = j0; j <= jmax; ++j) {
-      double lin = 0.0;
-      for (std::size_t k = 0; k < taps.size(); ++k)
-        lin += taps[k] * value_at(j + static_cast<std::int64_t>(k));
-      next.red[static_cast<std::size_t>(j)] = lin;
+  std::int64_t tail_cells = 0;
+  const auto lin_at = [&](std::int64_t j) {
+    if (j <= jv) return next.red[static_cast<std::size_t>(j)];
+    ++tail_cells;
+    double lin = 0.0;
+    for (std::size_t k = 0; k < taps.size(); ++k) {
+      const std::int64_t c = j + static_cast<std::int64_t>(k);
+      lin += taps[k] * (c <= row.q ? row.red[static_cast<std::size_t>(c)]
+                                   : green_.value(row.i, c));
     }
+    return next.red[static_cast<std::size_t>(j)] = lin;
+  };
+  const auto red_at = [&](std::int64_t j) {
+    return lin_at(j) >= green_.value(next.i, j);
+  };
+  // Every row is a red prefix, so the new boundary is found by walking from
+  // the old one: upward while cells stay red (off the expiry row the
+  // boundary can jump right when R > Y), else downward to the first red
+  // cell. A bounded step starts at jmax and walks down only. Each visited
+  // cell gets exactly the bits a full-row evaluation would give it.
+  const std::int64_t start = std::clamp<std::int64_t>(row.q, 0, jmax);
+  std::int64_t q = start;
+  if (red_at(q)) {
+    while (q < jmax && red_at(q + 1)) ++q;
+  } else {
+    --q;
+    while (q >= 0 && !red_at(q)) --q;
   }
-  // Downward early-exit discovery: identical q to the historical upward
-  // full scan (see solve_base), O(jmax - q) instead of O(jmax) oracle calls.
-  for (std::int64_t j = jmax; j >= 0; --j) {
-    if (next.red[static_cast<std::size_t>(j)] >= green_.value(next.i, j)) {
-      next.q = j;
-      break;
-    }
-  }
-  metrics::add_flops(2 * static_cast<std::uint64_t>(jmax + 1) * taps.size());
-  metrics::add_bytes(static_cast<std::uint64_t>(jmax + 1) * sizeof(double));
+  // The red cells below the lowest one the walk visited.
+  for (std::int64_t j = std::max<std::int64_t>(jv + 1, 0);
+       j < std::min(start, q); ++j)
+    (void)lin_at(j);
+  next.q = q;
+  const auto cells = static_cast<std::uint64_t>(
+      std::max<std::int64_t>(jv + 1, 0) + tail_cells);
+  metrics::add_flops(2 * cells * taps.size());
+  metrics::add_bytes(cells * sizeof(double));
   next.red.resize(
       static_cast<std::size_t>(std::max<std::int64_t>(next.q + 1, 0)));
 }

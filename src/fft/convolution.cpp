@@ -19,15 +19,17 @@ constexpr std::size_t kDirectCostThreshold = 1u << 14;
 
 // Break-even multiplier for the size-aware crossover below: the direct
 // sweep costs ~k*n fused multiply-adds, the (kernel-spectrum-warm) FFT
-// path ~2 half-size transforms of m = next_pow2(n) plus the spectrum
-// product, i.e. O(m log m) with this constant folding in the transform's
+// path ~2 half-size transforms of m = next_pow2(n) plus three streaming
+// passes, i.e. O(m log m) with this constant folding in the transform's
 // real cost per point. Calibrated on the build box against warm-spectrum
-// correlate_valid at out in [240, 9700] and klen in [9, 1025]: measured
-// break-even klen tracks 3*m*log2(m)/out within ~25% across that whole
-// range (PR 10; before that the flat kDirectCostThreshold product sent
-// wide-row/short-kernel correlations — out ~ 10^4, klen <= 129, the top
-// of every FDM descent — down an FFT path costing 5-12x the direct sweep).
-constexpr std::size_t kFftCostPerPointLog = 3;
+// correlate_valid at out in [240, 9700] and klen in [5, 1025]: the
+// measured break-even k*n / (m log2 m) reads 3.0-5.1 (median 3.9) on the
+// negacyclic pipeline, where the R2C pipeline before it read 5.5-8.6
+// against the four-chain tap sweeps. (It was first fitted at 3; before
+// that the flat kDirectCostThreshold product sent wide-row/short-kernel
+// correlations — out ~ 10^4, klen <= 129, the top of every FDM descent —
+// down an FFT path costing 5-12x the direct sweep.)
+constexpr std::size_t kFftCostPerPointLog = 4;
 
 [[nodiscard]] bool use_direct(std::size_t na, std::size_t nb, Policy policy) {
   switch (policy.path) {
@@ -61,37 +63,75 @@ void count_fft_ops(std::size_t n, std::uint64_t transforms_of_half,
                      sizeof(cplx) * logm);
 }
 
-/// Minimal cyclic transform size for reading window [skip, skip + out_len)
-/// of the full linear convolution (length `full`) of operands of length
-/// `na` and `nb`. Cyclic convolution at size n < full aliases linear bin
-/// j + n onto bin j, corrupting exactly the cyclic bins [0, full - 1 - n];
-/// the window survives iff skip >= full - n (overlap-save: the wrapped tail
-/// lands strictly below the first bin we read). The window and both
-/// operands must also fit in the buffer, so
-///   n = next_pow2(max(full - skip, skip + out_len, na, nb)).
+/// The negacyclic pipeline folds n reals into n/2 complex points, so its
+/// smallest transform is n = 2 (a size-1 request pads by one zero).
+[[nodiscard]] std::size_t transform_size(std::size_t n) {
+  return std::max<std::size_t>(n, 2);
+}
+
+/// Minimal transform size for reading window [skip, skip + out_len) of the
+/// full linear convolution (length `full`) of operands of length `na` and
+/// `nb`. The negacyclic product at size n < full wraps linear bin j + n
+/// onto bin j, negated, corrupting exactly the bins [0, full - 1 - n] — the
+/// bins a cyclic product would corrupt, with the opposite sign; the window
+/// survives iff skip >= full - n (overlap-save: the wrapped tail lands
+/// strictly below the first bin we read). The window and both operands must
+/// also fit in the buffer, so
+///   n = next_pow2(max(full - skip, skip + out_len, na, nb)), at least 2.
 /// For a trimmed correlation (na = out_len + klen - 1, skip = klen - 1) the
 /// first three terms coincide at out_len + klen - 1 — the rule
 /// correlate_fft_size() exposes; for a full convolution (skip = 0,
 /// out_len = full) it degenerates to next_pow2(full), the classical sizing.
-[[nodiscard]] std::size_t cyclic_size(std::size_t na, std::size_t nb,
+[[nodiscard]] std::size_t window_size(std::size_t na, std::size_t nb,
                                       std::size_t skip, std::size_t out_len) {
   const std::size_t full = na + nb - 1;
   AMOPT_EXPECTS(skip + out_len <= full);
-  return next_pow2(std::max({full - skip, skip + out_len, na, nb}));
+  return transform_size(
+      next_pow2(std::max({full - skip, skip + out_len, na, nb})));
 }
 
-/// Real-input cyclic convolution via R2C/C2R: both operands are zero-padded
-/// into size-n real buffers (n the minimal power of two that keeps the
-/// requested window alias-free, see cyclic_size()), transformed with two
-/// half-size complex FFTs, multiplied over the n/2+1 non-redundant bins,
-/// and brought back with one C2R. Writes out[j] = c[skip + j] for j in
-/// [0, out.size()), where c is the full convolution — `skip` folds the
-/// correlation shift into the copy-out. `reverse_b` packs b back-to-front
-/// (correlation = convolution with the reversed kernel) without
-/// materializing a reversed copy. The first operand is the logical
-/// concatenation of `a` and `a_tail` (the solvers' green-extension cells) —
-/// staging both pieces here yields the same padded buffer, hence the same
-/// bits, as a concatenated call.
+/// Fold, twist and transform concat(a, a_tail), zero-padded to the plan's
+/// size, into the split bins (re, im): one streaming pass plus the DIF
+/// butterflies, reading both pieces in place.
+void forward_points(const fft::NegacyclicPlan& plan, std::span<const double> a,
+                    std::span<const double> a_tail, double* re, double* im) {
+  simd::kernels().fold_twist(a.data(), a.size(), a_tail.data(), a_tail.size(),
+                             plan.twist_re(), plan.twist_im(), plan.points(),
+                             re, im);
+  plan.forward(re, im);
+}
+
+/// From product bins back to the read window: the conjugated DIT passes,
+/// then one untwist pass writing out[j] = s * c[skip + j] only.
+void back_to_window(const fft::NegacyclicPlan& plan, double* re, double* im,
+                    std::size_t skip, std::span<double> out, double s) {
+  plan.inverse(re, im);
+  simd::kernels().untwist(re, im, plan.twist_re(), plan.twist_im(),
+                          plan.points(), skip, out.data(), out.size(), s);
+}
+
+/// `b` as the negacyclic pipeline should read it: in place, or staged
+/// back-to-front into the workspace for a correlation (the one copy, of the
+/// kernel only, on the transform-per-call path).
+[[nodiscard]] std::span<const double> kernel_operand(std::span<const double> b,
+                                                     bool reversed,
+                                                     Workspace& ws) {
+  if (!reversed) return b;
+  std::span<double> rev = ws.cat(b.size());
+  std::copy(b.rbegin(), b.rend(), rev.begin());
+  return rev;
+}
+
+/// Real-input convolution through the negacyclic pipeline: both operands
+/// folded into n/2 complex points (n the minimal power of two that keeps
+/// the requested window alias-free, see window_size()), transformed,
+/// multiplied bin by bin, and brought back by one inverse pass sequence.
+/// Writes out[j] = c[skip + j] for j in [0, out.size()), where c is the
+/// full convolution — `skip` folds the correlation shift into the untwist.
+/// `reverse_b` reads b back-to-front (correlation = convolution with the
+/// reversed kernel). The first operand is the logical concatenation of `a`
+/// and `a_tail` (the solvers' green-extension cells), read in place by the
+/// fold, so split and concatenated calls are bit-identical.
 void real_convolve_into(std::span<const double> a,
                         std::span<const double> a_tail,
                         std::span<const double> b, bool reverse_b,
@@ -99,60 +139,37 @@ void real_convolve_into(std::span<const double> a,
                         Workspace& ws) {
   const std::size_t na = a.size() + a_tail.size();
   const std::size_t full = na + b.size() - 1;
-  const std::size_t n = cyclic_size(na, b.size(), skip, out.size());
-  const fft::RealPlan& plan = fft::real_plan_for(n);
-  const std::size_t nspec = plan.spectrum_size();
-
-  std::span<double> ra = ws.real_a(n);
-  std::copy(a.begin(), a.end(), ra.begin());
-  std::copy(a_tail.begin(), a_tail.end(),
-            ra.begin() + static_cast<std::ptrdiff_t>(a.size()));
-  std::fill(ra.begin() + static_cast<std::ptrdiff_t>(na), ra.end(), 0.0);
-
-  std::span<cplx> sa = ws.spec_a(nspec);
+  AMOPT_EXPECTS(skip + out.size() <= full);
+  const std::size_t n = window_size(na, b.size(), skip, out.size());
+  const fft::NegacyclicPlan& plan = fft::negacyclic_plan_for(n);
+  const std::size_t m = plan.points();
+  double* const re = ws.points_a(m).data();
+  double* const im = re + m;
+  forward_points(plan, a, a_tail, re, im);
   // Aliased-operand fast path: convolving a signal with itself (the
   // squaring rungs of poly::power_fft) needs only ONE forward transform —
-  // the spectrum is squared in place. A second transform of the identical
-  // input would reproduce these bins bit for bit, and csquare evaluates
-  // cmul(sa, sa) on them (exactly at the scalar level, to the documented
-  // last-ulp FMA tolerance on AVX-512), so the fast path is work elision,
-  // not a numerical shortcut.
-  if (!reverse_b && a_tail.empty() && a.data() == b.data() &&
-      a.size() == b.size()) {
-    plan.forward(ra.data(), sa.data());
-    simd::kernels().csquare(sa.data(), nspec);
-    plan.inverse(sa.data(), ra.data());
-    AMOPT_EXPECTS(skip + out.size() <= full);
-    std::copy_n(ra.begin() + static_cast<std::ptrdiff_t>(skip), out.size(),
-                out.begin());
-    count_fft_ops(n, 2);
-    return;
-  }
-
-  std::span<double> rb = ws.real_b(n);
-  if (reverse_b) {
-    std::copy(b.rbegin(), b.rend(), rb.begin());
+  // the bins are squared in place. A second transform of the identical
+  // input would reproduce them bit for bit, and csquare evaluates
+  // cmul(a, a)'s expressions, so the fast path is work elision, not a
+  // numerical shortcut.
+  const bool aliased = !reverse_b && a_tail.empty() && a.data() == b.data() &&
+                       a.size() == b.size();
+  if (aliased) {
+    simd::kernels().csquare(re, im, m);
   } else {
-    std::copy(b.begin(), b.end(), rb.begin());
+    double* const bre = ws.points_b(m).data();
+    double* const bim = bre + m;
+    forward_points(plan, kernel_operand(b, reverse_b, ws), {}, bre, bim);
+    simd::kernels().cmul(re, im, bre, bim, m);
   }
-  std::fill(rb.begin() + static_cast<std::ptrdiff_t>(b.size()), rb.end(), 0.0);
-
-  std::span<cplx> sb = ws.spec_b(nspec);
-  plan.forward(ra.data(), sa.data());
-  plan.forward(rb.data(), sb.data());
-  simd::kernels().cmul(sa.data(), sb.data(), nspec);
-  plan.inverse(sa.data(), ra.data());
-
-  AMOPT_EXPECTS(skip + out.size() <= full);
-  std::copy_n(ra.begin() + static_cast<std::ptrdiff_t>(skip), out.size(),
-              out.begin());
-  count_fft_ops(n, 3);
+  back_to_window(plan, re, im, skip, out, 1.0 / static_cast<double>(m));
+  count_fft_ops(n, aliased ? 2 : 3);
 }
 
 /// The consumer half of the spectral overloads: transform concat(a, a_tail)
-/// zero-padded to `kspec.n`, multiply by the precomputed kernel bins,
-/// invert, copy out from `skip`. Identical arithmetic to real_convolve_into
-/// with the kernel transform hoisted out.
+/// zero-padded to `kspec.n`, multiply by the precomputed kernel bins (which
+/// carry the 1/m), transform back and untwist the window from `skip`: the
+/// butterflies plus three streaming passes.
 void real_convolve_spec_into(std::span<const double> a,
                              std::span<const double> a_tail,
                              const fft::RealSpectrum& kspec, std::size_t skip,
@@ -163,25 +180,16 @@ void real_convolve_spec_into(std::span<const double> a,
   // The spectrum's size is the caller's choice; any n that keeps the read
   // window alias-free is accepted (n >= full remains valid over-padding).
   AMOPT_EXPECTS(n >= na && n >= kspec.klen);
-  AMOPT_EXPECTS(skip + out.size() <= n);
-  AMOPT_EXPECTS(full <= n + skip);
-  const fft::RealPlan& plan = fft::real_plan_for(n);
-  const std::size_t nspec = plan.spectrum_size();
-  AMOPT_EXPECTS(kspec.bins.size() >= nspec);
-
-  std::span<double> ra = ws.real_a(n);
-  std::copy(a.begin(), a.end(), ra.begin());
-  std::copy(a_tail.begin(), a_tail.end(),
-            ra.begin() + static_cast<std::ptrdiff_t>(a.size()));
-  std::fill(ra.begin() + static_cast<std::ptrdiff_t>(na), ra.end(), 0.0);
-  std::span<cplx> sa = ws.spec_a(nspec);
-  plan.forward(ra.data(), sa.data());
-  simd::kernels().cmul(sa.data(), kspec.bins.data(), nspec);
-  plan.inverse(sa.data(), ra.data());
-
   AMOPT_EXPECTS(skip + out.size() <= full);
-  std::copy_n(ra.begin() + static_cast<std::ptrdiff_t>(skip), out.size(),
-              out.begin());
+  AMOPT_EXPECTS(full <= n + skip);
+  const fft::NegacyclicPlan& plan = fft::negacyclic_plan_for(n);
+  const std::size_t m = plan.points();
+  AMOPT_EXPECTS(kspec.bins.size() >= 2 * m);
+  double* const re = ws.points_a(m).data();
+  double* const im = re + m;
+  forward_points(plan, a, a_tail, re, im);
+  simd::kernels().cmul(re, im, kspec.re(), kspec.im(), m);
+  back_to_window(plan, re, im, skip, out, 1.0);
   count_fft_ops(n, 2);
 }
 
@@ -328,9 +336,10 @@ bool correlate_prefers_fft(std::size_t out_len, std::size_t kernel_len,
 std::size_t correlate_fft_size(std::size_t out_len, std::size_t kernel_len) {
   // Overlap-save minimal size: the trimmed input prefix is
   // out_len + kernel_len - 1 and the correlation reads full-convolution
-  // bins [kernel_len - 1, kernel_len - 1 + out_len). A cyclic transform of
-  // size n wraps only the top full - 1 - n linear bins onto [0, full-1-n],
-  // i.e. strictly below that window whenever n >= out_len + kernel_len - 1
+  // bins [kernel_len - 1, kernel_len - 1 + out_len). A negacyclic product
+  // of size n wraps only the top full - 1 - n linear bins, negated, onto
+  // [0, full-1-n], i.e. strictly below that window whenever
+  // n >= out_len + kernel_len - 1
   // — so the transform only needs to cover the INPUT, not the full linear
   // convolution length out_len + 2*(kernel_len - 1) used before the
   // re-baselining (that double padding kept every linear bin alias-free,
@@ -343,9 +352,21 @@ fft::RealSpectrum kernel_spectrum(std::span<const double> kernel,
                                   Workspace& ws) {
   AMOPT_EXPECTS(!kernel.empty());
   AMOPT_EXPECTS(n >= kernel.size());
+  const fft::NegacyclicPlan& plan =
+      fft::negacyclic_plan_for(transform_size(n));
+  const std::size_t m = plan.points();
   fft::RealSpectrum spec;
-  fft::real_plan_for(n).spectrum(kernel, reversed, ws.real_b(n), spec);
-  count_fft_ops(n, 1, /*pointwise=*/false);
+  spec.n = plan.size();
+  spec.klen = kernel.size();
+  spec.reversed = reversed;
+  spec.bins.resize(2 * m);
+  double* const re = spec.bins.data();
+  forward_points(plan, kernel_operand(kernel, reversed, ws), {}, re, re + m);
+  // Fold the inverse's 1/m in: a power-of-two scale, exact, so the spectral
+  // path keeps the transform-per-call path's bits.
+  const double s = 1.0 / static_cast<double>(m);
+  for (double& x : spec.bins) x *= s;
+  count_fft_ops(spec.n, 1, /*pointwise=*/false);
   return spec;
 }
 
@@ -409,38 +430,30 @@ void convolve_many(std::span<const std::span<const double>> inputs,
     return;
   }
 
-  // One FFT size covers every item: the cyclic length n exceeds the largest
-  // full linear length, so shorter items simply see extra zero padding.
-  const std::size_t n = next_pow2(max_na + kernel.size() - 1);
-  const fft::RealPlan& plan = fft::real_plan_for(n);
-  const std::size_t nspec = plan.spectrum_size();
-
-  std::span<double> rb = ws.real_b(n);
-  std::copy(kernel.begin(), kernel.end(), rb.begin());
-  std::fill(rb.begin() + static_cast<std::ptrdiff_t>(kernel.size()), rb.end(),
-            0.0);
-  std::span<cplx> sb = ws.spec_b(nspec);
-  plan.forward(rb.data(), sb.data());  // shared kernel spectrum
-
-  std::span<double> ra = ws.real_a(n);
-  std::span<cplx> sa = ws.spec_a(nspec);
+  // One transform size covers every item: n exceeds the largest full
+  // linear length, so nothing wraps and shorter items simply see extra zero
+  // padding.
+  const fft::NegacyclicPlan& plan = fft::negacyclic_plan_for(
+      transform_size(next_pow2(max_na + kernel.size() - 1)));
+  const std::size_t m = plan.points();
+  double* const bre = ws.points_b(m).data();
+  double* const bim = bre + m;
+  forward_points(plan, kernel, {}, bre, bim);  // shared kernel spectrum
+  double* const re = ws.points_a(m).data();
+  double* const im = re + m;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const std::span<const double> a = inputs[i];
     if (a.empty()) {
       outs[i].clear();
       continue;
     }
-    std::copy(a.begin(), a.end(), ra.begin());
-    std::fill(ra.begin() + static_cast<std::ptrdiff_t>(a.size()), ra.end(),
-              0.0);
-    plan.forward(ra.data(), sa.data());
-    simd::kernels().cmul(sa.data(), sb.data(), nspec);
-    plan.inverse(sa.data(), ra.data());
     outs[i].resize(a.size() + kernel.size() - 1);
-    std::copy_n(ra.begin(), outs[i].size(), outs[i].begin());
-    count_fft_ops(n, 2);  // per-item transforms + pointwise product
+    forward_points(plan, a, {}, re, im);
+    simd::kernels().cmul(re, im, bre, bim, m);
+    back_to_window(plan, re, im, 0, outs[i], 1.0 / static_cast<double>(m));
+    count_fft_ops(plan.size(), 2);  // per-item transforms + pointwise product
   }
-  count_fft_ops(n, 1, /*pointwise=*/false);  // the one shared kernel transform
+  count_fft_ops(plan.size(), 1, /*pointwise=*/false);  // the shared kernel
 }
 
 }  // namespace amopt::conv

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include <algorithm>
+#include <cstdint>
 #include <atomic>
 #include <cmath>
 #include <memory>
@@ -19,11 +20,18 @@ namespace amopt::fft {
 namespace {
 
 // Below this size the parallel-for overhead of a stage exceeds its work;
-// transforms stay serial. Chosen conservatively; see bench/micro_fft.
+// complex transforms stay serial. Chosen conservatively; see
+// bench/micro_fft. (The negacyclic passes always run on the caller.)
 constexpr std::size_t kParallelThreshold = std::size_t{1} << 15;
 
-// Below this size the SoA pipeline's de/interleave passes cost more than
-// the vector butterflies save; stay on the interleaved scalar loops.
+// Stages whose butterfly blocks span at most this many points run depth
+// first, block by block (32 KB of split data: it stays in L1 across them);
+// the larger stages run breadth first over the whole array.
+constexpr std::size_t kDepthBlock = std::size_t{1} << 11;
+
+// Below this size the complex transform's split/interleave passes cost
+// more than the vector butterflies save; stay on the interleaved scalar
+// loops.
 constexpr std::size_t kSimdThreshold = 32;
 
 [[nodiscard]] std::size_t ilog2(std::size_t n) {
@@ -68,27 +76,23 @@ Plan::Plan(std::size_t n) : n_(n), log2n_(ilog2(n)) {
     }
     w += 3 * h;
   }
-  // Mirror the triples into the SoA layout the vector kernels consume
-  // (same values; only the memory layout differs, so scalar and vector
-  // passes see bit-identical twiddles). Skipped entirely when no vector
-  // path can ever run — plans are cached for the process lifetime and the
-  // mirror would be dead weight.
-  if (simd::max_supported() != simd::Level::scalar) {
-    twiddle4_soa_.resize(2 * total);
-    double* ws = twiddle4_soa_.data();
-    const cplx* wt = twiddle4_.data();
-    for (std::size_t h = (log2n_ & 1) ? 2 : 1; h < n_; h <<= 2) {
-      for (std::size_t j = 0; j < h; ++j) {
-        ws[0 * h + j] = wt[3 * j + 0].real();
-        ws[1 * h + j] = wt[3 * j + 0].imag();
-        ws[2 * h + j] = wt[3 * j + 1].real();
-        ws[3 * h + j] = wt[3 * j + 1].imag();
-        ws[4 * h + j] = wt[3 * j + 2].real();
-        ws[5 * h + j] = wt[3 * j + 2].imag();
-      }
-      ws += 6 * h;
-      wt += 3 * h;
+  // Mirror the triples into the SoA layout the dispatched kernels consume
+  // (same values; only the memory layout differs, so the interleaved and
+  // split passes see bit-identical twiddles).
+  twiddle4_soa_.resize(2 * total);
+  double* ws = twiddle4_soa_.data();
+  const cplx* wt = twiddle4_.data();
+  for (std::size_t h = (log2n_ & 1) ? 2 : 1; h < n_; h <<= 2) {
+    for (std::size_t j = 0; j < h; ++j) {
+      ws[0 * h + j] = wt[3 * j + 0].real();
+      ws[1 * h + j] = wt[3 * j + 0].imag();
+      ws[2 * h + j] = wt[3 * j + 1].real();
+      ws[3 * h + j] = wt[3 * j + 1].imag();
+      ws[4 * h + j] = wt[3 * j + 2].real();
+      ws[5 * h + j] = wt[3 * j + 2].imag();
     }
+    ws += 6 * h;
+    wt += 3 * h;
   }
   bitrev_.resize(n_);
   for (std::size_t i = 0; i < n_; ++i) {
@@ -227,23 +231,54 @@ void Plan::transform_simd(cplx* data, bool inverse, simd::Level lvl) const {
   // scalar path's swap pass + copy pass.
   kn.deinterleave_rev(data, bitrev_.data(), re, im, n_);
 
-  const bool parallel = n_ >= kParallelThreshold && !in_parallel_region() &&
-                        hardware_threads() > 1;
-  std::size_t h = 1;
-  if (log2n_ & 1) {
-    if (parallel) {
-      // Chunks align to butterfly pairs; any power-of-two split works.
-      constexpr std::size_t kChunk = std::size_t{1} << 13;
-      core::TaskPool::instance().for_each(
-          static_cast<std::ptrdiff_t>(n_ / kChunk), [&](std::size_t c) {
-            kn.radix2_pass(re + c * kChunk, im + c * kChunk, kChunk);
-          });
-    } else {
-      kn.radix2_pass(re, im, n_);
-    }
-    h = 2;
+  dit_stages(re, im, inverse,
+             n_ >= kParallelThreshold && !in_parallel_region() &&
+                 hardware_threads() > 1,
+             kn);
+
+  // The 1/n normalization rides the interleave pass (one fewer sweep over
+  // the data).
+  if (inverse) {
+    kn.interleave_scaled(re, im, data, n_, 1.0 / static_cast<double>(n_));
+  } else {
+    kn.interleave(re, im, data, n_);
   }
+}
+
+void Plan::dit_stages(double* re, double* im, bool inverse, bool parallel,
+                      const simd::Kernels& kn) const {
+  const std::size_t h0 = (log2n_ & 1) ? 2 : 1;
   const double* w = twiddle4_soa_.data();
+  std::size_t h = h0;
+  if (!parallel) {
+    // Depth first: every stage whose butterfly blocks fit in kDepthBlock
+    // runs over one block before the next block starts, so the block
+    // stays in L1 across those stages; the rest run breadth first below.
+    const std::size_t block = std::min(n_, kDepthBlock);
+    const double* wb = w;
+    for (std::size_t b = 0; b < n_; b += block) {
+      if (log2n_ & 1) kn.radix2_pass(re + b, im + b, block);
+      wb = w;
+      for (h = h0; 4 * h <= block; h <<= 2) {
+        kn.radix4_pass(re + b, im + b, block, h, wb, inverse);
+        wb += 6 * h;
+      }
+    }
+    w = wb;
+    for (; h < n_; h <<= 2) {
+      kn.radix4_pass(re, im, n_, h, w, inverse);
+      w += 6 * h;
+    }
+    return;
+  }
+  if (log2n_ & 1) {
+    // Chunks align to butterfly pairs; any power-of-two split works.
+    constexpr std::size_t kChunk = std::size_t{1} << 13;
+    core::TaskPool::instance().for_each(
+        static_cast<std::ptrdiff_t>(n_ / kChunk), [&](std::size_t c) {
+          kn.radix2_pass(re + c * kChunk, im + c * kChunk, kChunk);
+        });
+  }
   for (; h < n_; h <<= 2) {
     const std::size_t step = 4 * h;
     // Parallel chunks must be multiples of the block size AND large enough
@@ -251,7 +286,7 @@ void Plan::transform_simd(cplx* data, bool inverse, simd::Level lvl) const {
     // groups (the h = 1 transpose kernel needs them) — one block per chunk
     // would feed h = 1 four elements at a time and fall back to scalar.
     const std::size_t chunk = std::max(step, std::size_t{1} << 13);
-    if (parallel && n_ > chunk) {
+    if (n_ > chunk) {
       core::TaskPool::instance().for_each(
           static_cast<std::ptrdiff_t>(n_ / chunk), [&](std::size_t c) {
             kn.radix4_pass(re + c * chunk, im + c * chunk, chunk, h, w,
@@ -262,13 +297,57 @@ void Plan::transform_simd(cplx* data, bool inverse, simd::Level lvl) const {
     }
     w += 6 * h;
   }
+}
 
-  // The 1/n normalization rides the interleave pass (same multiply scale2
-  // performed — bit-identical, one fewer sweep over the data).
-  if (inverse) {
-    kn.interleave_scaled(re, im, data, n_, 1.0 / static_cast<double>(n_));
-  } else {
-    kn.interleave(re, im, data, n_);
+void Plan::dit(double* re, double* im, bool inverse) const {
+  dit_stages(re, im, inverse, /*parallel=*/false, simd::kernels());
+}
+
+void Plan::dif(double* re, double* im) const {
+  // The DIT passes transposed, last to first: each radix-4 stage reads its
+  // DIT twiddle block (walked backwards from the end of the table), and the
+  // unit-twiddle radix-2 stage, its own transpose, closes odd log2 n. The
+  // stages whose butterfly blocks exceed kDepthBlock run breadth first; the
+  // rest run depth first, one block at a time (dit_stages in reverse).
+  const simd::Kernels& kn = simd::kernels();
+  const std::size_t h0 = (log2n_ & 1) ? 2 : 1;
+  const std::size_t block = std::min(n_, kDepthBlock);
+  const double* w = twiddle4_soa_.data() + twiddle4_soa_.size();
+  std::size_t h = n_ / 4;
+  for (; n_ >= 4 && 4 * h > block; h >>= 2) {
+    w -= 6 * h;
+    kn.dif4_pass(re, im, n_, h, w);
+  }
+  for (std::size_t b = 0; b < n_; b += block) {
+    const double* wb = w;
+    for (std::size_t hh = h; n_ >= 4; hh >>= 2) {
+      wb -= 6 * hh;
+      kn.dif4_pass(re + b, im + b, block, hh, wb);
+      if (hh == h0) break;
+    }
+    if (log2n_ & 1) kn.radix2_pass(re + b, im + b, block);
+  }
+}
+
+NegacyclicPlan::NegacyclicPlan(std::size_t n)
+    : n_(n), m_(n / 2), half_(&plan_for(n / 2)) {
+  AMOPT_EXPECTS(is_pow2(n) && n >= 2);
+  twist_.resize(2 * m_);
+  roots_.resize(2 * m_);
+  const double step = std::numbers::pi / static_cast<double>(n_);
+  const auto n2 = static_cast<std::int64_t>(2 * n_);
+  for (std::size_t k = 0; k < m_; ++k) {
+    // psi^k = e^{i pi k / n}
+    const double a = step * static_cast<double>(k);
+    twist_[k] = std::cos(a);
+    twist_[m_ + k] = std::sin(a);
+    // y_k = psi^(1 - 4k), the exponent reduced into [-n, n) so every angle
+    // lies in [-pi, pi).
+    std::int64_t e = (1 - 4 * static_cast<std::int64_t>(k)) % n2;
+    if (e < -static_cast<std::int64_t>(n_)) e += n2;
+    const double b = step * static_cast<double>(e);
+    roots_[k] = std::cos(b);
+    roots_[m_ + k] = std::sin(b);
   }
 }
 
@@ -315,51 +394,6 @@ void RealPlan::forward(const double* in, cplx* spec) const {
   spec[m_ / 2] = std::conj(spec[m_ / 2]);  // t = -i bin: X = conj(Z)
   spec[m_] = cplx{z0.real() - z0.imag(), 0.0};
   spec[0] = cplx{z0.real() + z0.imag(), 0.0};
-}
-
-void RealPlan::inverse(cplx* spec, double* out) const {
-  if (n_ == 1) {
-    out[0] = spec[0].real();
-    return;
-  }
-  if (n_ == 2) {
-    out[0] = 0.5 * (spec[0].real() + spec[1].real());
-    out[1] = 0.5 * (spec[0].real() - spec[1].real());
-    return;
-  }
-  // Re-tangle the packed half-size spectrum: Z[k] = Xe[k] + i Xo[k] with
-  //   Xe[k] = (X[k] + conj(X[m-k]))/2,
-  //   Xo[k] = (X[k] - conj(X[m-k]))/2 * conj(t_k)   (1/t_k on the unit circle)
-  // and Z[m-k] = conj(Xe[k]) + i conj(Xo[k]).
-  const double x0 = spec[0].real(), xm = spec[m_].real();
-  spec[0] = cplx{0.5 * (x0 + xm), 0.5 * (x0 - xm)};
-  simd::kernels().rfft_retangle(spec, twiddle_.data(), m_);
-  spec[m_ / 2] = std::conj(spec[m_ / 2]);
-  half_->inverse(spec);
-  // The unpack is the same layout identity as forward's pack: one flat copy.
-  std::memcpy(static_cast<void*>(out), static_cast<const void*>(spec),
-              m_ * sizeof(cplx));
-}
-
-void RealPlan::spectrum(std::span<const double> signal, bool reversed,
-                        std::span<double> pad, RealSpectrum& spec) const {
-  AMOPT_EXPECTS(signal.size() <= n_);
-  AMOPT_EXPECTS(pad.size() >= n_);
-  // Pack exactly like the convolution paths (reversal happens while
-  // staging, no reversed copy), so the bins match the in-call transform
-  // bit for bit.
-  if (reversed) {
-    std::copy(signal.rbegin(), signal.rend(), pad.begin());
-  } else {
-    std::copy(signal.begin(), signal.end(), pad.begin());
-  }
-  std::fill(pad.begin() + static_cast<std::ptrdiff_t>(signal.size()),
-            pad.begin() + static_cast<std::ptrdiff_t>(n_), 0.0);
-  spec.n = n_;
-  spec.klen = signal.size();
-  spec.reversed = reversed;
-  spec.bins.resize(spectrum_size());
-  forward(pad.data(), spec.bins.data());
 }
 
 namespace {
@@ -417,6 +451,12 @@ class PlanCache {
 const Plan& plan_for(std::size_t n) {
   AMOPT_EXPECTS(is_pow2(n));
   static PlanCache<Plan>& cache = *new PlanCache<Plan>();
+  return cache.get(n);
+}
+
+const NegacyclicPlan& negacyclic_plan_for(std::size_t n) {
+  AMOPT_EXPECTS(is_pow2(n) && n >= 2);
+  static PlanCache<NegacyclicPlan>& cache = *new PlanCache<NegacyclicPlan>();
   return cache.get(n);
 }
 

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <limits>
 #include <new>
+#include <utility>
 #include <vector>
 
 namespace amopt {
@@ -47,6 +48,32 @@ struct AlignedAllocator {
 
 template <class T>
 using aligned_vector = std::vector<T, AlignedAllocator<T>>;
+
+/// AlignedAllocator whose argument-less construct default-initializes: a
+/// resize leaves trivial elements uninitialized instead of zero-filling
+/// them. For buffers whose every element the owner writes before reading.
+template <class T>
+struct UninitAllocator : AlignedAllocator<T> {
+  UninitAllocator() noexcept = default;
+  template <class U>
+  UninitAllocator(const UninitAllocator<U>&) noexcept {}
+
+  template <class U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) == 0) {
+      ::new (static_cast<void*>(p)) U;
+    } else {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  }
+};
+
+template <class T>
+using uninit_vector = std::vector<T, UninitAllocator<T>>;
 
 /// Round `n` up to the next power of two (n >= 1).
 [[nodiscard]] constexpr std::size_t next_pow2(std::size_t n) noexcept {

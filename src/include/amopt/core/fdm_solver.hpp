@@ -31,14 +31,6 @@
 
 namespace amopt::core {
 
-/// Exercise-value oracle for FDM cells; for the paper's put this is
-/// 1 - e^{k ds}, independent of n.
-class FdmGreen {
- public:
-  virtual ~FdmGreen() = default;
-  [[nodiscard]] virtual double value(std::int64_t n, std::int64_t k) const = 0;
-};
-
 /// One FDM row in boundary-compressed form: green for k <= f (oracle), red
 /// values stored for k in (f, kr].
 struct FdmRow {
@@ -51,7 +43,7 @@ struct FdmRow {
 class FdmSolver {
  public:
   /// `st` must be the centered 3-tap stencil (taps {b, c, a}, left = -1).
-  FdmSolver(stencil::LinearStencil st, const FdmGreen& green,
+  FdmSolver(stencil::LinearStencil st, const ExerciseTable& green,
             SolverConfig cfg = {});
 
   /// Share a kernel cache owned by the caller (same contract as the
@@ -61,7 +53,7 @@ class FdmSolver {
   /// built from `fallback`) and must otherwise outlive the solver and be
   /// built from a stencil equal to `fallback` (the centered one above).
   FdmSolver(stencil::KernelCache* shared, stencil::LinearStencil fallback,
-            const FdmGreen& green, SolverConfig cfg = {});
+            const ExerciseTable& green, SolverConfig cfg = {});
 
   FdmSolver(const FdmSolver&) = delete;
   FdmSolver& operator=(const FdmSolver&) = delete;
@@ -96,7 +88,7 @@ class FdmSolver {
 
   std::unique_ptr<stencil::KernelCache> owned_kernels_;  ///< null when shared
   stencil::KernelCache* kernels_;
-  const FdmGreen& green_;
+  const ExerciseTable& green_;
   SolverConfig cfg_;
 };
 

@@ -35,20 +35,12 @@
 #include <span>
 #include <vector>
 
+#include "amopt/core/exercise_table.hpp"
 #include "amopt/core/scratch.hpp"
 #include "amopt/stencil/kernel_cache.hpp"
 #include "amopt/stencil/linear_stencil.hpp"
 
 namespace amopt::core {
-
-/// Exercise-value oracle ("green" value) for lattice cells. Implementations
-/// must be callable for any 0 <= i <= T, 0 <= j <= g*i + g (the solver reads
-/// at most g-1 cells of green extension past a row's red prefix).
-class LatticeGreen {
- public:
-  virtual ~LatticeGreen() = default;
-  [[nodiscard]] virtual double value(std::int64_t i, std::int64_t j) const = 0;
-};
 
 /// One grid row in boundary-compressed form: red values for j in [0, q],
 /// green cells implied by the oracle. q == -1 means the row is entirely
@@ -84,7 +76,7 @@ struct SolverConfig {
 
 class LatticeSolver {
  public:
-  LatticeSolver(stencil::LinearStencil st, const LatticeGreen& green,
+  LatticeSolver(stencil::LinearStencil st, const ExerciseTable& green,
                 SolverConfig cfg = {});
 
   /// Share a kernel cache owned by the caller: concurrent pricings with the
@@ -94,7 +86,7 @@ class LatticeSolver {
   /// cache is built from `fallback`) and must otherwise outlive the solver
   /// and be built from a stencil equal to `fallback`.
   LatticeSolver(stencil::KernelCache* shared, stencil::LinearStencil fallback,
-                const LatticeGreen& green, SolverConfig cfg = {});
+                const ExerciseTable& green, SolverConfig cfg = {});
 
   LatticeSolver(const LatticeSolver&) = delete;
   LatticeSolver& operator=(const LatticeSolver&) = delete;
@@ -148,7 +140,7 @@ class LatticeSolver {
 
   std::unique_ptr<stencil::KernelCache> owned_kernels_;  ///< null when shared
   stencil::KernelCache* kernels_;
-  const LatticeGreen& green_;
+  const ExerciseTable& green_;
   SolverConfig cfg_;
   std::int64_t g_;
   /// Warm row storage handed back and forth with descend()'s ping-pong

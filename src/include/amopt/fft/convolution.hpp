@@ -9,25 +9,32 @@
 // i.e. the application of `h` pre-combined stencil steps (kernel = taps^h)
 // to a row segment whose dependency cones are fully inside the linear (red)
 // region. Small products are evaluated directly; large ones go through the
-// real-input FFT (two R2C transforms of the zero-padded operands, a
-// pointwise product over the n/2+1 non-redundant bins, one C2R back —
-// 3 half-size complex transforms).
+// negacyclic real-input pipeline of fft::NegacyclicPlan: each operand of n
+// reals is folded and twisted into n/2 complex points in one streaming pass
+// (read in place, zero-padded on the fly), transformed by DIF passes into
+// bit-reversed order, multiplied bin by bin, brought back by the conjugated
+// DIT passes, and untwisted on the read window only — 3 half-size
+// transforms, and no pass that gathers, interleaves, untangles or stages a
+// copy. The product is taken modulo x^n + 1: what wraps past n lands on the
+// bins a cyclic product would wrap onto, negated, so the sizing rule below
+// keeps it out of every read window just the same.
 //
-// All FFT paths draw their zero-padded buffers and spectra from a
-// `Workspace` arena: buffers grow monotonically and are reused, so repeated
-// convolutions of bounded size perform no heap allocation after warm-up.
-// Every entry point has a span-based overload taking an explicit Workspace
-// (fully allocation-free) and a convenience overload that uses a
-// thread-local arena.
+// All FFT paths draw their transform buffers from a `Workspace` arena:
+// buffers grow monotonically and are reused, so repeated convolutions of
+// bounded size perform no heap allocation after warm-up. Every entry point
+// has a span-based overload taking an explicit Workspace (fully
+// allocation-free) and a convenience overload that uses a thread-local
+// arena.
 //
 // Two transform-count reductions on top of that (both bit-identical to the
 // baseline path at a fixed dispatch level):
 //   * aliased operands — `convolve_full(a, a, ...)` runs one forward
-//     transform and squares the spectrum in place (`simd csquare`), the
-//     path poly::power_fft's squaring loop rides;
+//     transform and squares the bins in place (`simd csquare`), the path
+//     poly::power_fft's squaring loop rides;
 //   * precomputed kernel spectra — the `fft::RealSpectrum` overloads below
 //     skip the kernel transform entirely (2 transforms per call instead
-//     of 3); stencil::KernelCache hands the solvers ready spectra.
+//     of 3, plus the fold, product and untwist passes);
+//     stencil::KernelCache hands the solvers ready spectra.
 
 #include <cstddef>
 #include <span>
@@ -45,7 +52,7 @@ struct Policy {
   enum class Path {
     automatic,  ///< cost-based crossover (direct below, fft above)
     direct,     ///< always the O(n*k) loop
-    fft,        ///< real-input R2C/C2R pipeline
+    fft,        ///< negacyclic real-input pipeline
   };
   Path path = Path::automatic;
 };
@@ -56,21 +63,22 @@ struct Policy {
 /// workspace makes every conv call below its high-water mark allocation-free.
 class Workspace {
  public:
-  /// Zero-padded real operand buffers and their spectra. Callers outside
-  /// the conv layer should not need these directly.
-  [[nodiscard]] std::span<double> real_a(std::size_t n) { return grow(ra_, n); }
-  [[nodiscard]] std::span<double> real_b(std::size_t n) { return grow(rb_, n); }
+  /// Split transform buffers of m complex points: re in [0, m), im in
+  /// [m, 2m). `points_a` holds the operand being transformed, `points_b`
+  /// the second operand of a two-operand product. Callers outside the conv
+  /// layer should not need these directly.
+  [[nodiscard]] std::span<double> points_a(std::size_t m) {
+    return grow(pa_, 2 * m);
+  }
+  [[nodiscard]] std::span<double> points_b(std::size_t m) {
+    return grow(pb_, 2 * m);
+  }
   /// Staging for the split-operand correlation's DIRECT path (the small-
   /// size crossover), where the concatenation is materialized so the sweep
   /// partition — and therefore every bit on FMA dispatch levels — matches
-  /// a contiguous-input call exactly.
+  /// a contiguous-input call exactly; and for a time-domain kernel read
+  /// back-to-front on the FFT path.
   [[nodiscard]] std::span<double> cat(std::size_t n) { return grow(cat_, n); }
-  [[nodiscard]] std::span<fft::cplx> spec_a(std::size_t n) {
-    return grow(sa_, n);
-  }
-  [[nodiscard]] std::span<fft::cplx> spec_b(std::size_t n) {
-    return grow(sb_, n);
-  }
   /// Caller-level staging buffers (used by poly::power for the square-and-
   /// multiply accumulators); never touched by the conv entry points.
   [[nodiscard]] std::span<double> acc(std::size_t n) { return grow(acc_, n); }
@@ -84,8 +92,8 @@ class Workspace {
     return {v.data(), n};
   }
 
-  aligned_vector<double> ra_, rb_, cat_, acc_, tmp_, aux_;
-  aligned_vector<fft::cplx> sa_, sb_;
+  uninit_vector<double> pa_, pb_;
+  aligned_vector<double> cat_, acc_, tmp_, aux_;
 };
 
 /// The calling thread's workspace (created on first use, never freed while
@@ -119,13 +127,13 @@ void correlate_valid(std::span<const double> in,
 // The trapezoid solvers correlate a row's red prefix EXTENDED by up to g-1
 // green cells. Materializing that concatenation costs an O(row) copy per
 // convolution just to append a couple of cells. The overloads below take
-// the input as (main, tail): the FFT paths stage both pieces directly into
-// the zero-padded transform buffer — the staged bytes are identical to the
-// concatenated call's, so results match it bit for bit at a fixed dispatch
-// level. The DIRECT path (small sizes, where the copy is cheap anyway)
-// materializes the concatenation into workspace staging so its sweep
-// partition matches a contiguous-input call exactly — split and
-// concatenated calls are bit-identical on EVERY path at every level.
+// the input as (main, tail): the FFT paths' fold reads both pieces in place
+// — the folded points are identical to the concatenated call's, so results
+// match it bit for bit at a fixed dispatch level. The DIRECT path (small
+// sizes, where the copy is cheap anyway) materializes the concatenation
+// into workspace staging so its sweep partition matches a contiguous-input
+// call exactly — split and concatenated calls are bit-identical on EVERY
+// path at every level.
 
 /// `correlate_valid` over the logical input concat(main, tail). Requires
 /// main.size() + tail.size() >= out.size() + kernel.size() - 1.
@@ -151,7 +159,8 @@ void correlate_valid(std::span<const double> main, std::span<const double> tail,
 // The stencil::KernelCache spectrum tier does not transform: it raises each
 // bin straight from the stencil taps, so its bins are not the in-call
 // transform's bits but agree with them to about h * eps of the largest bin
-// (h the kernel's step count).
+// (h the kernel's step count). Both hold the negacyclic bins in the
+// bit-reversed order the data transform leaves, scaled by 1/m.
 
 /// Whether `correlate_valid` with these lengths would take the real-input
 /// FFT path (false for the direct crossover).
@@ -161,9 +170,9 @@ void correlate_valid(std::span<const double> main, std::span<const double> tail,
 
 /// The padded transform size the FFT correlation path uses for these
 /// lengths — the `n` to build a reusable kernel spectrum at:
-/// next_pow2(out_len + kernel_len - 1), the overlap-save minimum. A cyclic
-/// transform of that size wraps the top linear bins onto cyclic bins
-/// strictly below the correlation's read window [kernel_len - 1,
+/// next_pow2(out_len + kernel_len - 1), the overlap-save minimum. A
+/// negacyclic product of that size wraps the top linear bins, negated, onto
+/// bins strictly below the correlation's read window [kernel_len - 1,
 /// kernel_len - 1 + out_len), so the window is alias-free even though the
 /// transform is smaller than the full linear length
 /// out_len + 2*(kernel_len - 1). (The library padded to that full length
@@ -175,8 +184,11 @@ void correlate_valid(std::span<const double> main, std::span<const double> tail,
                                              std::size_t kernel_len);
 
 /// Build a reusable kernel spectrum at padded size n (a power of two >= the
-/// full linear length of the intended products). `reversed` selects the
-/// correlation layout consumed by the spectral `correlate_valid`.
+/// full linear length of the intended products; n = 1 builds at 2).
+/// `reversed` selects the correlation layout consumed by the spectral
+/// `correlate_valid`. The bins are the data transform's bits scaled by the
+/// exact 1/m, so the spectral path reproduces the transform-per-call path
+/// bit for bit.
 [[nodiscard]] fft::RealSpectrum kernel_spectrum(std::span<const double> kernel,
                                                 std::size_t n, bool reversed,
                                                 Workspace& ws);
@@ -200,8 +212,8 @@ void convolve_full(std::span<const double> a, const fft::RealSpectrum& bspec,
 /// Batched full convolutions against one shared kernel: outs[i] receives
 /// inputs[i] (*) kernel, resized to inputs[i].size()+kernel.size()-1. On the
 /// FFT path the kernel is transformed ONCE at the padded size of the largest
-/// input and its spectrum reused for every item; the longer cyclic length
-/// still covers every item's full linear length, so results are exact up to
+/// input and its spectrum reused for every item; that size covers every
+/// item's full linear length, so nothing wraps and results are exact up to
 /// the usual FFT roundoff. Requires outs.size() == inputs.size().
 void convolve_many(std::span<const std::span<const double>> inputs,
                    std::span<const double> kernel,

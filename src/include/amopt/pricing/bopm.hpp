@@ -12,25 +12,20 @@
 namespace amopt::pricing::bopm {
 
 /// Green (exercise-value) oracle for the call lattice:
-/// value(i, j) = S * u^(2j-i) - K, backed by a precomputed power table.
-class CallGreen final : public core::LatticeGreen {
+/// value(i, j) = S * u^(2j-i) - K, each power exp((2j-i) log u) computed on
+/// its block's first read (core::ExerciseTable).
+class CallGreen final : public core::ExerciseTable {
  public:
   CallGreen(const OptionSpec& spec, const BopmParams& prm)
-      : up_(prm.log_u, prm.T), S_(spec.S), K_(spec.K) {}
-  [[nodiscard]] double value(std::int64_t i, std::int64_t j) const override {
-    return S_ * up_(2 * j - i) - K_;
-  }
-
- private:
-  PowerTable up_;
-  double S_, K_;
+      : core::ExerciseTable(Form::exp, prm.log_u, 2, -1, spec.S, spec.K,
+                            prm.T + 4) {}
 };
 
 /// Expiry row in boundary-compressed form: red cells are the at/out-of-the-
 /// money nodes (value 0 = G^red by Definition 2.1), green cells the in-the-
 /// money payoffs.
 [[nodiscard]] core::LatticeRow expiry_row(const BopmParams& prm,
-                                          const core::LatticeGreen& green);
+                                          const core::ExerciseTable& green);
 
 // --- American call ------------------------------------------------------
 

@@ -13,21 +13,13 @@
 
 namespace amopt::pricing::bsm {
 
-/// Dimensionless put exercise value 1 - e^{k ds}, cached in a table over the
-/// index range the solver can touch and computed exactly outside it.
-class PutGreen final : public core::FdmGreen {
+/// Dimensionless put exercise value 1 - e^{k ds} = -expm1(k ds), each
+/// value over |k| <= span computed on its block's first read
+/// (core::ExerciseTable) and evaluated directly outside it.
+class PutGreen final : public core::ExerciseTable {
  public:
-  PutGreen(double ds, std::int64_t span);
-  [[nodiscard]] double value(std::int64_t /*n*/, std::int64_t k) const override {
-    if (k >= -span_ && k <= span_)
-      return table_[static_cast<std::size_t>(k + span_)];
-    return -std::expm1(static_cast<double>(k) * ds_);
-  }
-
- private:
-  std::vector<double> table_;
-  double ds_;
-  std::int64_t span_;
+  PutGreen(double ds, std::int64_t span)
+      : core::ExerciseTable(Form::neg_expm1, ds, 1, 0, 1.0, 0.0, span) {}
 };
 
 /// Geometry of the solution cone: the apex sits at k* ~ ln(S/K)/ds, and the

@@ -11,22 +11,17 @@
 
 namespace amopt::pricing::topm {
 
-/// Exercise-value oracle: value(i, j) = S * u^(j-i) - K, j in [0, 2i].
-class CallGreen final : public core::LatticeGreen {
+/// Exercise-value oracle: value(i, j) = S * u^(j-i) - K, j in [0, 2i],
+/// each power computed on its block's first read (core::ExerciseTable).
+class CallGreen final : public core::ExerciseTable {
  public:
   CallGreen(const OptionSpec& spec, const TopmParams& prm)
-      : up_(prm.log_u, prm.T), S_(spec.S), K_(spec.K) {}
-  [[nodiscard]] double value(std::int64_t i, std::int64_t j) const override {
-    return S_ * up_(j - i) - K_;
-  }
-
- private:
-  PowerTable up_;
-  double S_, K_;
+      : core::ExerciseTable(Form::exp, prm.log_u, 1, -1, spec.S, spec.K,
+                            prm.T + 4) {}
 };
 
 [[nodiscard]] core::LatticeRow expiry_row(const TopmParams& prm,
-                                          const core::LatticeGreen& green);
+                                          const core::ExerciseTable& green);
 
 [[nodiscard]] double american_call_fft(const OptionSpec& spec, std::int64_t T,
                                        core::SolverConfig cfg = {});

@@ -4,14 +4,16 @@
 // Every member is one hot loop from the FFT engine, the convolution layer,
 // or the nonlinear-stencil solvers, lifted out so each instruction-set
 // level can provide its own implementation. The scalar table entries are
-// the verbatim loops their call sites used to inline (bit-compatible with
-// the pre-SIMD library); the AVX2/AVX-512 entries process 4/8 doubles per
-// register with unaligned loads and stores and finish any remainder in a
-// scalar tail — so every entry accepts arbitrary pointers and sizes.
+// plain loops over each entry's expressions (for the solver sweeps, the
+// verbatim loops their call sites used to inline); the AVX2/AVX-512
+// entries process 4/8 doubles per register with unaligned loads and
+// stores and finish any remainder in a scalar tail — so every entry
+// accepts arbitrary pointers and sizes.
 //
 // FFT kernels use a split real/imaginary (SoA) layout: `re[i]`/`im[i]` hold
 // the parts of element i. Stage twiddles arrive as one contiguous SoA block
-// per fused radix-4 stage (see fft.cpp for the layout).
+// per fused radix-4 stage (see fft.cpp for the layout). The negacyclic
+// correlation (fft::NegacyclicPlan, conv::) runs entirely on this layout.
 
 #include <complex>
 #include <cstddef>
@@ -26,17 +28,17 @@ using cplx = std::complex<double>;
 /// One dispatch level's kernel set. All pointers are non-null for every
 /// level returned by `kernels()`.
 struct Kernels {
-  /// Pointwise spectrum product a[k] *= b[k] (interleaved complex).
-  void (*cmul)(cplx* a, const cplx* b, std::size_t n);
+  /// Pointwise product of two split (SoA) spectra, a[k] *= b[k] for
+  /// k < m: (are, aim) in place, (bre, bim) read-only. The negacyclic
+  /// correlation's product against a kernel spectrum (fft.hpp).
+  void (*cmul)(double* are, double* aim, const double* bre, const double* bim,
+               std::size_t m);
 
-  /// Pointwise spectrum square a[k] *= a[k] — the aliased-operand fast path
-  /// of `convolve_full(a, a, ...)` (one forward transform instead of two).
-  /// The scalar entry IS cmul(a, a) bit for bit; the vector entries run the
-  /// same shuffle/multiply sequence as their cmul with both factors taken
-  /// from one load (the AVX-512 scalar tail may contract its multiply-adds
-  /// differently — last-ulp territory, inside the documented cross-path
-  /// tolerance).
-  void (*csquare)(cplx* a, std::size_t n);
+  /// Pointwise square a[k] *= a[k] — the aliased-operand fast path of
+  /// `convolve_full(a, a, ...)` (one forward transform instead of two).
+  /// Every level evaluates cmul(a, a)'s expressions on one load, so the
+  /// square equals cmul(a, a-copy) bit for bit at each level.
+  void (*csquare)(double* re, double* im, std::size_t m);
 
   /// Small-tap correlation out[j] = sum_m taps[m] * in[j + m], j < n.
   /// The accumulation order is m ascending from a 0.0 seed (the lattice
@@ -77,15 +79,13 @@ struct Kernels {
                         double* mid, double* out, std::size_t n_mid,
                         std::size_t n_out);
 
-  /// Split interleaved complex into SoA halves and back.
-  void (*deinterleave)(const cplx* z, double* re, double* im, std::size_t n);
+  /// Join SoA halves into interleaved complex.
   void (*interleave)(const double* re, const double* im, cplx* z,
                      std::size_t n);
 
   /// `interleave` with the inverse transform's 1/n normalization fused in:
-  /// z[i] = {re[i] * s, im[i] * s}. One pass over the data instead of
-  /// scale2 followed by interleave; the multiply is the same one scale2
-  /// performed, so the fusion is bit-identical.
+  /// z[i] = {re[i] * s, im[i] * s}: one pass over the data instead of a
+  /// scaling pass followed by interleave.
   void (*interleave_scaled)(const double* re, const double* im, cplx* z,
                             std::size_t n, double s);
 
@@ -95,9 +95,6 @@ struct Kernels {
   /// cache-hostile access pattern, so halving its traffic matters.
   void (*deinterleave_rev)(const cplx* z, const std::uint32_t* rev,
                            double* re, double* im, std::size_t n);
-
-  /// re[i] *= s; im[i] *= s (the inverse transform's 1/n normalization).
-  void (*scale2)(double* re, double* im, std::size_t n, double s);
 
   /// Radix-2 stage with unit twiddles over [0, n): butterflies on element
   /// pairs (2i, 2i+1).
@@ -116,24 +113,52 @@ struct Kernels {
   /// place. `tw` is the n/4+1-entry quarter-circle twiddle table t_k.
   void (*rfft_untangle)(cplx* spec, const cplx* tw, std::size_t m);
 
-  /// The C2R retangle pair loop of RealPlan::inverse (same index ranges).
-  void (*rfft_retangle)(cplx* spec, const cplx* tw, std::size_t m);
+  /// One decimation-in-frequency radix-4 stage of half-size h over [0, n)
+  /// (n a multiple of 4h), forward sign only: the transpose of
+  /// radix4_pass's forward butterfly. For each block base (step 4h) and
+  /// j in [0, h), with s0 = a + c, s1 = a - c, s2 = b + d, s3 = b - d:
+  ///   a = s0 + s2,             b = (s0 - s2) W^2j,
+  ///   c = (s1 - i s3) W^j,     d = (s1 + i s3) W^3j,
+  /// reading the same SoA twiddle block as radix4_pass (the twiddle comes
+  /// after the butterfly instead of before it). Run from the largest stage
+  /// down, then radix2_pass for odd log2 n, these passes take natural order
+  /// to the bit-reversed order the radix4_pass stages consume.
+  void (*dif4_pass)(double* re, double* im, std::size_t n, std::size_t h,
+                    const double* wsoa);
+
+  /// The negacyclic fold and twist of a real operand: with x the logical
+  /// concatenation of main[0, nmain) and tail[0, ntail), zero past its end
+  /// (nmain + ntail <= 2m),
+  ///   re[k] + i im[k] = (x[k] + i x[k + m]) (wre[k] + i wim[k]),  k < m.
+  /// Reading the two pieces in place is what spares a correlation any
+  /// staging copy of its input.
+  void (*fold_twist)(const double* main, std::size_t nmain, const double* tail,
+                     std::size_t ntail, const double* wre, const double* wim,
+                     std::size_t m, double* re, double* im);
+
+  /// The negacyclic untwist and unfold, on the read window only: with
+  /// u[k] = re[k] + i im[k] and conj(w[k]) the inverse twist,
+  ///   c[k] = Re(u[k] conj(w[k])),  c[k + m] = Im(u[k] conj(w[k])),
+  /// writes out[j] = s * c[skip + j] for j < nout (skip + nout <= 2m).
+  void (*untwist)(const double* re, const double* im, const double* wre,
+                  const double* wim, std::size_t m, std::size_t skip,
+                  double* out, std::size_t nout, double s);
 
   /// A reversed kernel spectrum straight from its taps — the KernelCache
-  /// spectrum build: bins[k] = R(w_k)^h for k in [0, m], where
-  /// R(x) = taps[0] x^g + taps[1] x^(g-1) + ... + taps[g] (g = ntaps - 1)
-  /// is the reversed tap polynomial and w_k = e^{-2 pi i k / (2m)}. These
-  /// are the R2C bins of taps^h packed back-to-front at n = 2m, with no
-  /// time-domain power and no transform. `tw` is rfft_untangle's
-  /// quarter-circle table (w_k for k <= m/2; w_{m-k} = -conj(w_k) gives the
-  /// rest); requires an even m >= 2. Binary exponentiation per bin; a bin
-  /// with |R(w)|^h < 1e-120 reads 0 without a chain. Every value in a kept
+  /// spectrum build: for the m roots y_j (SoA, natural order j),
+  ///   bins[rev(j)] = s * R(y_j)^h,  rev = the log2(m)-bit reversal,
+  /// where R(x) = taps[0] x^g + taps[1] x^(g-1) + ... + taps[g]
+  /// (g = ntaps - 1) is the reversed tap polynomial: the negacyclic bins of
+  /// taps^h packed back-to-front, in the bit-reversed order dif4_pass
+  /// leaves a transform in, with no time-domain power and no transform.
+  /// m is a power of two. Binary exponentiation per bin; a bin with
+  /// |R(y)|^h < 1e-120 reads 0 without a chain. Every value in a kept
   /// bin's chain is a power |R|^k with k <= h, so it never falls under that
   /// floor and the chain never meets a denormal. Per-bin relative error
   /// grows like h * eps.
   void (*tap_power_bins)(const double* taps, std::size_t ntaps,
-                         std::uint64_t h, const cplx* tw, std::size_t m,
-                         cplx* bins);
+                         std::uint64_t h, const double* yre, const double* yim,
+                         std::size_t m, double s, double* bre, double* bim);
 
   /// Black-Scholes d± over node arrays — the boundary engine's quadrature
   /// inner loop. base = (logz[i] + drift_t[i]) * inv_vs[i];

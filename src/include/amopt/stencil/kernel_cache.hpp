@@ -16,21 +16,22 @@
 //     walk, drawing the squaring chain taps^(2^k) from one shared ladder so
 //     each squaring is paid once per cache instead of once per height.
 //   * SPECTRAL — `power_spectrum(h, n)`: the reversed (correlation-layout)
-//     R2C spectrum of taps^h at padded size n, materialized lazily on first
-//     use and keyed by (h, n). It is built straight from the taps, never
-//     from the time-domain tier: bin k is R(w_k)^h, with R the reversed tap
-//     polynomial and w_k the k-th n-th root of unity, one dispatched
+//     negacyclic spectrum of taps^h at padded size n (fft::RealSpectrum),
+//     materialized lazily on first use and keyed by (h, n). It is built
+//     straight from the taps, never from the time-domain tier: bin j is
+//     R(y_j)^h / m, with R the reversed tap polynomial, y_j the j-th root of
+//     t^m = i the data transform evaluates at (m = n/2), stored at the
+//     bit-reversed position the data transform leaves bin j in — one dispatched
 //     binary-exponentiation pass (simd tap_power_bins) with no time-domain
-//     power and no forward transform. So a cold tap group pays for its
-//     solves' transforms, not for its kernels'. The bins are not the bits of
-//     the transformed time-domain power (conv::kernel_spectrum of power(h)):
-//     they agree with it to about h * eps of the largest bin. Repeated
-//     convolutions at the same recursion depth then skip the kernel
-//     transform entirely (the conv spectral overloads run 2 transforms per
-//     call instead of 3). Spectrum entries are returned as shared_ptr so an
-//     attached `SpectrumBudget` may evict them under its byte cap without
-//     invalidating in-flight convolutions; a cache with no budget attached
-//     never evicts.
+//     power and no forward transform. So a cold tap group pays for its solves'
+//     transforms, not for its kernels'. The bins are not the bits of the
+//     transformed time-domain power (conv::kernel_spectrum of power(h)): they
+//     agree with it to about h * eps of the largest bin. Repeated convolutions
+//     at the same recursion depth then skip the kernel transform entirely (the
+//     conv spectral overloads run 2 transforms per call instead of 3). Spectrum
+//     entries are returned as shared_ptr so an attached `SpectrumBudget` may
+//     evict them under its byte cap without invalidating in-flight
+//     convolutions; a cache with no budget attached never evicts.
 
 #include <atomic>
 #include <cstdint>
@@ -143,13 +144,13 @@ class KernelCache {
   /// lifetime of the cache (time-domain entries are never evicted).
   [[nodiscard]] std::span<const double> power(std::uint64_t h);
 
-  /// The reversed R2C spectrum of taps^h at padded transform size n (a
-  /// power of two >= the full linear length of the intended correlation —
+  /// The reversed negacyclic spectrum of taps^h at padded transform size n
+  /// (a power of two >= the input length of the intended correlation —
   /// conv::correlate_fft_size of the call's dimensions — so at least the
-  /// kernel length g*h + 1, its `klen`). It never touches the time-domain
-  /// tier. The shared_ptr keeps the spectrum alive across a concurrent
-  /// budget eviction; without an attached budget entries live as long as
-  /// the cache.
+  /// kernel length g*h + 1, its `klen`; n = 1 builds at 2). It never
+  /// touches the time-domain tier. The shared_ptr keeps the spectrum alive
+  /// across a concurrent budget eviction; without an attached budget
+  /// entries live as long as the cache.
   [[nodiscard]] std::shared_ptr<const fft::RealSpectrum> power_spectrum(
       std::uint64_t h, std::size_t n);
 

@@ -13,7 +13,7 @@ namespace amopt::pricing::bopm {
 
 namespace {
 
-[[nodiscard]] double payoff_expiry(const core::LatticeGreen& green,
+[[nodiscard]] double payoff_expiry(const core::ExerciseTable& green,
                                    std::int64_t T, std::int64_t j) {
   return std::max(0.0, green.value(T, j));
 }
@@ -32,7 +32,7 @@ namespace {
 /// -1 if even j = 0 is in the money. The green value is strictly increasing
 /// in j, so a binary search suffices.
 [[nodiscard]] std::int64_t expiry_boundary(const BopmParams& prm,
-                                           const core::LatticeGreen& green) {
+                                           const core::ExerciseTable& green) {
   const std::int64_t T = prm.T;
   std::int64_t lo = -1, hi = T;  // invariant: green(lo) <= 0 < green(hi+1)
   if (green.value(T, 0) > 0.0) return -1;
@@ -90,7 +90,7 @@ template <bool kParallel, class Payoff>
 }  // namespace
 
 core::LatticeRow expiry_row(const BopmParams& prm,
-                            const core::LatticeGreen& green) {
+                            const core::ExerciseTable& green) {
   core::LatticeRow row;
   row.i = prm.T;
   row.q = expiry_boundary(prm, green);

@@ -21,14 +21,6 @@ constexpr std::int64_t kPad = FdmLayout::kPad;
 
 }  // namespace
 
-PutGreen::PutGreen(double ds, std::int64_t span)
-    : table_(static_cast<std::size_t>(2 * span + 1)), ds_(ds), span_(span) {
-  AMOPT_EXPECTS(span >= 0);
-  for (std::int64_t k = -span; k <= span; ++k)
-    table_[static_cast<std::size_t>(k + span)] =
-        -std::expm1(static_cast<double>(k) * ds);
-}
-
 FdmLayout make_layout(const BsmParams& prm) {
   FdmLayout lay;
   const double k_real = prm.s_target / prm.ds;

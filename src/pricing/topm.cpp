@@ -15,7 +15,7 @@ namespace amopt::pricing::topm {
 namespace {
 
 [[nodiscard]] std::int64_t expiry_boundary(const TopmParams& prm,
-                                           const core::LatticeGreen& green) {
+                                           const core::ExerciseTable& green) {
   const std::int64_t T = prm.T;
   const std::int64_t jmax = 2 * T;
   if (green.value(T, 0) > 0.0) return -1;
@@ -71,7 +71,7 @@ template <bool kParallel, class Payoff>
 }  // namespace
 
 core::LatticeRow expiry_row(const TopmParams& prm,
-                            const core::LatticeGreen& green) {
+                            const core::ExerciseTable& green) {
   core::LatticeRow row;
   row.i = prm.T;
   row.q = expiry_boundary(prm, green);

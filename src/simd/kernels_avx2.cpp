@@ -1,7 +1,7 @@
 // AVX2 kernel table: 4 doubles (2 complex) per 256-bit register. The kernel
 // bodies are kernels_vec.hpp's, instantiated with the traits below; this
-// file adds only the radix-4 stages with h < 4, whose shuffles are
-// width-specific. Compiled with -mavx2 only (no -mfma), so the compiler
+// file adds only the DIT and DIF radix-4 stages with h < 4, whose shuffles
+// are width-specific. Compiled with -mavx2 only (no -mfma), so the compiler
 // cannot contract the multiply-add chains: madd/msub are a separate
 // multiply and add, and every lane evaluates exactly the scalar table's
 // expression (see DESIGN.md §4 for the documented cross-path tolerance).
@@ -37,14 +37,6 @@ struct Avx2 {
   static reg xor_(reg a, reg b) { return _mm256_xor_pd(a, b); }
   static reg madd(reg a, reg b, reg c) { return add(mul(a, b), c); }
   static reg msub(reg a, reg b, reg c) { return sub(mul(a, b), c); }
-
-  static reg cmul(reg a, reg b) {
-    // a = [ar0, ai0, ar1, ai1]: addsub(a*br, swap(a)*bi).
-    const reg bre = _mm256_movedup_pd(b);       // [br, br, ...]
-    const reg bim = _mm256_permute_pd(b, 0xF);  // [bi, bi, ...]
-    const reg asw = _mm256_permute_pd(a, 0x5);  // [ai, ar, ...]
-    return _mm256_addsub_pd(mul(a, bre), mul(asw, bim));
-  }
 
   static void load_split(const double* p, reg& re, reg& im) {
     const reg z0 = load(p);      // [r0, i0, r1, i1]
@@ -99,12 +91,16 @@ struct Avx2 {
     return _mm256_testz_si256(b, b) != 0;
   }
 
+  /// 4x4 in-register transpose of the rows r[0..3].
+  static void transpose(reg (&r)[4]);
+
   static void radix4_small(double* re, double* im, std::size_t n,
                            std::size_t h, const double* wsoa, bool inverse);
+  static void dif4_small(double* re, double* im, std::size_t n, std::size_t h,
+                         const double* wsoa);
 };
 
-/// 4x4 in-register transpose of the rows r[0..3].
-void transpose4(__m256d (&r)[4]) {
+void Avx2::transpose(__m256d (&r)[4]) {
   const __m256d t0 = _mm256_unpacklo_pd(r[0], r[1]);
   const __m256d t1 = _mm256_unpackhi_pd(r[0], r[1]);
   const __m256d t2 = _mm256_unpacklo_pd(r[2], r[3]);
@@ -115,10 +111,22 @@ void transpose4(__m256d (&r)[4]) {
   r[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
 }
 
-/// The h = 1 stage (unit twiddles, butterflies on 4 consecutive elements):
-/// transpose four blocks into SoA-of-blocks registers, butterfly
-/// vertically, transpose back. This stage touches every element, so
-/// leaving it scalar would cap the whole transform's speedup.
+/// The scalar table's stage, DIT or DIF: the small stages' tail.
+template <bool Dif>
+void scalar_stage(double* re, double* im, std::size_t n, std::size_t h,
+                  const double* wsoa, bool inverse) {
+  if constexpr (Dif) {
+    tables::scalar.dif4_pass(re, im, n, h, wsoa);
+  } else {
+    tables::scalar.radix4_pass(re, im, n, h, wsoa, inverse);
+  }
+}
+
+/// The h = 1 stage (unit twiddles, butterflies on 4 consecutive elements),
+/// DIT or DIF: transpose four blocks into SoA-of-blocks registers,
+/// butterfly vertically, transpose back. This stage touches every element,
+/// so leaving it scalar would cap the whole transform's speedup.
+template <bool Dif>
 void radix4_h1(double* re, double* im, std::size_t n, bool inverse) {
   const vec::Rotation<Avx2> rs(inverse);
   std::size_t base = 0;
@@ -128,17 +136,22 @@ void radix4_h1(double* re, double* im, std::size_t n, bool inverse) {
       xr[q] = Avx2::load(re + base + 4 * q);
       xi[q] = Avx2::load(im + base + 4 * q);
     }
-    transpose4(xr);
-    transpose4(xi);
+    Avx2::transpose(xr);
+    Avx2::transpose(xi);
     vec::Cv<Avx2> o[4];
-    vec::butterfly<Avx2>({xr[0], xi[0]}, {xr[1], xi[1]}, {xr[2], xi[2]},
-                         {xr[3], xi[3]}, rs, o);
+    if constexpr (Dif) {
+      vec::dif_butterfly<Avx2>({xr[0], xi[0]}, {xr[1], xi[1]}, {xr[2], xi[2]},
+                               {xr[3], xi[3]}, o);
+    } else {
+      vec::butterfly<Avx2>({xr[0], xi[0]}, {xr[1], xi[1]}, {xr[2], xi[2]},
+                           {xr[3], xi[3]}, rs, o);
+    }
     for (int q = 0; q < 4; ++q) {
       xr[q] = o[q].re;
       xi[q] = o[q].im;
     }
-    transpose4(xr);
-    transpose4(xi);
+    Avx2::transpose(xr);
+    Avx2::transpose(xi);
     for (int q = 0; q < 4; ++q) {
       Avx2::store(re + base + 4 * q, xr[q]);
       Avx2::store(im + base + 4 * q, xi[q]);
@@ -146,21 +159,26 @@ void radix4_h1(double* re, double* im, std::size_t n, bool inverse) {
   }
   if (base < n) {
     const double w_unit[6] = {1.0, 0.0, 1.0, 0.0, 1.0, 0.0};
-    tables::scalar.radix4_pass(re + base, im + base, n - base, 1, w_unit,
-                               inverse);
+    scalar_stage<Dif>(re + base, im + base, n - base, 1, w_unit, inverse);
   }
 }
 
-/// The h = 2 stage (only present in odd-log2 transforms, after the leading
-/// radix-2 stage): butterflies live on 8-element blocks with j in {0, 1}.
-/// Two blocks are processed per iteration through a 2x4 half-transpose —
-/// 128-bit lane permutes gather the j-pairs of both blocks into one
-/// register, so the whole stage runs the ordinary 4-wide butterfly with a
-/// [w(0), w(1), w(0), w(1)] twiddle broadcast and no unpack traffic.
+/// The h = 2 stage (after the leading radix-2 stage of an odd-log2 DIT
+/// transform, before the trailing one of a DIF): butterflies live on
+/// 8-element blocks with j in {0, 1}. Two blocks are processed per
+/// iteration through a 2x4 half-transpose — 128-bit lane permutes gather
+/// the j-pairs of both blocks into one register, so the whole stage runs
+/// the ordinary 4-wide butterfly with a [w(0), w(1), w(0), w(1)] twiddle
+/// broadcast and no unpack traffic.
+template <bool Dif>
 void radix4_h2(double* re, double* im, std::size_t n, const double* wsoa,
                bool inverse) {
-  vec::radix4_packed<Avx2>(
-      re, im, n, 2, wsoa, inverse, tables::scalar,
+  vec::radix4_packed<Avx2, Dif>(
+      re, im, n, 2, wsoa, inverse,
+      [inverse](double* r, double* i, std::size_t nn, std::size_t hh,
+                const double* w) {
+        scalar_stage<Dif>(r, i, nn, hh, w, inverse);
+      },
       [](const double* p) {
         return _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(p));
       },
@@ -184,13 +202,24 @@ void radix4_h2(double* re, double* im, std::size_t n, const double* wsoa,
 void Avx2::radix4_small(double* re, double* im, std::size_t n, std::size_t h,
                         const double* wsoa, bool inverse) {
   if (h == 1) {
-    radix4_h1(re, im, n, inverse);
+    radix4_h1<false>(re, im, n, inverse);
   } else if (h == 2) {
-    radix4_h2(re, im, n, wsoa, inverse);
+    radix4_h2<false>(re, im, n, wsoa, inverse);
   } else {
     // h = 3 never occurs (half-sizes are powers of two); keep the scalar
     // fallback so the kernel stays total over its argument space.
     tables::scalar.radix4_pass(re, im, n, h, wsoa, inverse);
+  }
+}
+
+void Avx2::dif4_small(double* re, double* im, std::size_t n, std::size_t h,
+                      const double* wsoa) {
+  if (h == 1) {
+    radix4_h1<true>(re, im, n, false);
+  } else if (h == 2) {
+    radix4_h2<true>(re, im, n, wsoa, false);
+  } else {
+    tables::scalar.dif4_pass(re, im, n, h, wsoa);
   }
 }
 

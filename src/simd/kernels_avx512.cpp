@@ -1,15 +1,15 @@
 // AVX-512F kernel table: 8 doubles (4 complex) per 512-bit register. The
 // kernel bodies are kernels_vec.hpp's, instantiated with the traits below;
 // vpermt2pd crosses all 128-bit lanes in one instruction, which halves the
-// shuffle and load/store counts of the layout helpers (de/interleave, R2C /
-// C2R pair twiddles) against AVX2 — profiling the end-to-end pricers showed
-// those helpers carrying ~15% of a descent. This file adds the radix-4
-// stages with h = 2 and h = 4, whose packers are width-specific, and hands
-// h = 1 to the AVX2 table. It is compiled with -mavx512f -mavx512dq (AVX2
-// implied): madd/msub are FMAs, and the compiler may contract the spelled-
-// out multiply-add chains too, so this level can differ from scalar/AVX2 in
-// the last ulps (the more accurate rounding), bounded by the documented
-// cross-path tolerance (DESIGN.md §4).
+// shuffle and load/store counts of the layout helpers (interleave, R2C pair
+// twiddles, the 8x8 transpose of the tap-spectrum stores) against AVX2.
+// This file adds the DIT and DIF radix-4 stages with h = 2 and h = 4, whose
+// packers are width-specific, and hands h = 1 to the AVX2 table. It is
+// compiled with -mavx512f -mavx512dq (AVX2 implied): madd/msub are FMAs,
+// and the compiler may contract the spelled-out multiply-add chains too, so
+// this level can differ from scalar/AVX2 in the last ulps (the more
+// accurate rounding), bounded by the documented cross-path tolerance
+// (DESIGN.md §4).
 
 #include <immintrin.h>
 
@@ -49,14 +49,6 @@ struct Avx512 {
   static reg xor_(reg a, reg b) { return _mm512_xor_pd(a, b); }
   static reg madd(reg a, reg b, reg c) { return _mm512_fmadd_pd(a, b, c); }
   static reg msub(reg a, reg b, reg c) { return _mm512_fmsub_pd(a, b, c); }
-
-  static reg cmul(reg a, reg b) {
-    const reg bre = _mm512_movedup_pd(b);
-    const reg bim = _mm512_permute_pd(b, 0xFF);
-    const reg asw = _mm512_permute_pd(a, 0x55);
-    // fmaddsub: even lanes a*b - c, odd lanes a*b + c (one rounding).
-    return _mm512_fmaddsub_pd(a, bre, mul(asw, bim));
-  }
 
   static void load_split(const double* p, reg& re, reg& im) {
     const reg z0 = load(p);
@@ -108,20 +100,68 @@ struct Avx512 {
     return _mm512_test_epi64_mask(b, b) == 0;
   }
 
+  static void transpose(reg (&r)[8]);
+
   static void radix4_small(double* re, double* im, std::size_t n,
                            std::size_t h, const double* wsoa, bool inverse);
+  static void dif4_small(double* re, double* im, std::size_t n, std::size_t h,
+                         const double* wsoa);
 };
 
-/// The h = 4 stage: two butterfly groups (32 elements per array) per
-/// iteration, gathered and scattered with cross-lane vpermt2pd. The
-/// small-transform stages dominate the many narrow convolutions of a
+/// 8x8 in-register transpose of the rows r[0..7]: pairs (unpack), quads
+/// (vpermt2pd), then 256-bit halves (vshuff64x2).
+void Avx512::transpose(__m512d (&r)[8]) {
+  __m512d a[8], b[8];
+  for (int i = 0; i < 8; i += 2) {
+    a[i] = _mm512_unpacklo_pd(r[i], r[i + 1]);  // rows i, i+1: even columns
+    a[i + 1] = _mm512_unpackhi_pd(r[i], r[i + 1]);  // odd columns
+  }
+  const __m512i lo = idx8(0, 1, 8, 9, 4, 5, 12, 13);
+  const __m512i hi = idx8(2, 3, 10, 11, 6, 7, 14, 15);
+  for (int i = 0; i < 8; i += 4) {
+    // Rows i..i+3 of columns {0, 4} / {2, 6} from the even-column pairs,
+    // {1, 5} / {3, 7} from the odd ones.
+    b[i] = _mm512_permutex2var_pd(a[i], lo, a[i + 2]);
+    b[i + 2] = _mm512_permutex2var_pd(a[i], hi, a[i + 2]);
+    b[i + 1] = _mm512_permutex2var_pd(a[i + 1], lo, a[i + 3]);
+    b[i + 3] = _mm512_permutex2var_pd(a[i + 1], hi, a[i + 3]);
+  }
+  for (int c = 0; c < 4; ++c) {
+    r[c] = _mm512_shuffle_f64x2(b[c], b[c + 4], 0x44);
+    r[c + 4] = _mm512_shuffle_f64x2(b[c], b[c + 4], 0xEE);
+  }
+}
+
+/// The AVX2 table's stage, DIT or DIF: the small stages' tail and h = 1.
+template <bool Dif>
+void avx2_stage(double* re, double* im, std::size_t n, std::size_t h,
+                const double* wsoa, bool inverse) {
+  if constexpr (Dif) {
+    tables::avx2.dif4_pass(re, im, n, h, wsoa);
+  } else {
+    tables::avx2.radix4_pass(re, im, n, h, wsoa, inverse);
+  }
+}
+
+template <bool Dif>
+auto avx2_fallback(bool inverse) {
+  return [inverse](double* r, double* i, std::size_t nn, std::size_t hh,
+                   const double* w) {
+    avx2_stage<Dif>(r, i, nn, hh, w, inverse);
+  };
+}
+
+/// The h = 4 stage, DIT or DIF: two butterfly groups (32 elements per
+/// array) per iteration, gathered and scattered with cross-lane vpermt2pd.
+/// The small-transform stages dominate the many narrow convolutions of a
 /// descent, which is why this one gets its own kernel.
+template <bool Dif>
 void radix4_h4(double* re, double* im, std::size_t n, const double* wsoa,
                bool inverse) {
   const __m512i lo = idx8(0, 1, 2, 3, 8, 9, 10, 11);
   const __m512i hi = idx8(4, 5, 6, 7, 12, 13, 14, 15);
-  vec::radix4_packed<Avx512>(
-      re, im, n, 4, wsoa, inverse, tables::avx2,
+  vec::radix4_packed<Avx512, Dif>(
+      re, im, n, 4, wsoa, inverse, avx2_fallback<Dif>(inverse),
       [](const double* p) {
         return _mm512_broadcast_f64x4(_mm256_loadu_pd(p));
       },
@@ -142,10 +182,11 @@ void radix4_h4(double* re, double* im, std::size_t n, const double* wsoa,
       });
 }
 
-/// The h = 2 stage (odd-log2 transforms): four 8-element butterfly groups
-/// per iteration. Two vpermt2pd's pack the (a, b) halves of two groups into
-/// one register and vshuff64x2 merges four groups into full 8-wide
-/// operands; twiddles broadcast as [w(0), w(1)] x 4.
+/// The h = 2 stage (odd-log2 transforms), DIT or DIF: four 8-element
+/// butterfly groups per iteration. Two vpermt2pd's pack the (a, b) halves
+/// of two groups into one register and vshuff64x2 merges four groups into
+/// full 8-wide operands; twiddles broadcast as [w(0), w(1)] x 4.
+template <bool Dif>
 void radix4_h2(double* re, double* im, std::size_t n, const double* wsoa,
                bool inverse) {
   // [a0 a1 b0 b1 | a0' a1' b0' b1'] packers for two 8-element groups, and
@@ -154,8 +195,8 @@ void radix4_h2(double* re, double* im, std::size_t n, const double* wsoa,
   const __m512i cd_idx = idx8(4, 5, 12, 13, 6, 7, 14, 15);
   const __m512i g0_idx = idx8(0, 1, 4, 5, 8, 9, 12, 13);
   const __m512i g1_idx = idx8(2, 3, 6, 7, 10, 11, 14, 15);
-  vec::radix4_packed<Avx512>(
-      re, im, n, 2, wsoa, inverse, tables::avx2,
+  vec::radix4_packed<Avx512, Dif>(
+      re, im, n, 2, wsoa, inverse, avx2_fallback<Dif>(inverse),
       [](const double* p) { return _mm512_broadcast_f64x2(_mm_loadu_pd(p)); },
       [&](const double* p, __m512d(&x)[4]) {
         const __m512d v0 = Avx512::load(p), v1 = Avx512::load(p + 8);
@@ -184,13 +225,24 @@ void radix4_h2(double* re, double* im, std::size_t n, const double* wsoa,
 void Avx512::radix4_small(double* re, double* im, std::size_t n,
                           std::size_t h, const double* wsoa, bool inverse) {
   if (h == 4) {
-    radix4_h4(re, im, n, wsoa, inverse);
+    radix4_h4<false>(re, im, n, wsoa, inverse);
   } else if (h == 2) {
-    radix4_h2(re, im, n, wsoa, inverse);
+    radix4_h2<false>(re, im, n, wsoa, inverse);
   } else {
     // h = 1 is the AVX2 transpose stage (unit twiddles: all shuffles, no
     // arithmetic worth widening).
-    tables::avx2.radix4_pass(re, im, n, h, wsoa, inverse);
+    avx2_stage<false>(re, im, n, h, wsoa, inverse);
+  }
+}
+
+void Avx512::dif4_small(double* re, double* im, std::size_t n, std::size_t h,
+                        const double* wsoa) {
+  if (h == 4) {
+    radix4_h4<true>(re, im, n, wsoa, false);
+  } else if (h == 2) {
+    radix4_h2<true>(re, im, n, wsoa, false);
+  } else {
+    avx2_stage<true>(re, im, n, h, wsoa, false);
   }
 }
 

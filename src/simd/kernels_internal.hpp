@@ -1,6 +1,7 @@
 #pragma once
-// Shared by every kernel translation unit: the two-row sweep driver and the
-// scalar references of norm_cdf and tap_power_bins. Everything here has
+// Shared by every kernel translation unit: the two-row sweep driver, the
+// fold's operand read and the scalar references of norm_cdf and
+// tap_power_bins. Everything here has
 // internal linkage, so each kernel file compiles its own copy under its own
 // -m flags (an inline definition with external linkage would let the linker
 // keep one file's copy for all of them). Not installed; include only from
@@ -113,9 +114,20 @@ inline constexpr double kC[12] = {
 }
 }  // namespace phi_detail
 
+namespace fold_detail {
+/// x[p] of Kernels::fold_twist's logical operand concat(main, tail),
+/// zero past its end.
+[[nodiscard]] inline double at(const double* main, std::size_t nmain,
+                               const double* tail, std::size_t ntail,
+                               std::size_t p) noexcept {
+  if (p < nmain) return main[p];
+  return p - nmain < ntail ? tail[p - nmain] : 0.0;
+}
+}  // namespace fold_detail
+
 // The scalar reference of Kernels::tap_power_bins, shared like phi_detail:
-// the scalar table runs tap_bins_from over every bin, the vector TUs map
-// each step onto lanes and finish their tails with it.
+// the scalar table runs tap_bins over every bin, the vector TUs map each
+// step onto lanes and run it whole below their transpose size.
 namespace tap_bins_detail {
 /// A bin whose |R(w)|^h lies below this reads 0: a probability kernel
 /// peaks near 1, so such bins sit ~108 decades under it, far below the
@@ -177,38 +189,44 @@ inline void raise_pair(const double* taps, std::size_t ntaps, std::uint64_t h,
   w1 = a1;
 }
 
-/// Bins j, j + 1 and their mirrors m - j, m - j - 1 for j in [j0, m/2) in
-/// steps of 2, then what is left: at most one more pair and the centre bin
-/// m/2.
-inline void tap_bins_from(const double* taps, std::size_t ntaps,
-                          std::uint64_t h, const cplx* tw, std::size_t m,
-                          cplx* bins, std::size_t j0) noexcept {
-  const auto root = [&](std::size_t k) -> Bin {
-    return {tw[k].real(), tw[k].imag()};
-  };
-  const auto mirror = [](Bin w) -> Bin { return {-w.re, w.im}; };  // -conj
-  const auto store = [&](std::size_t k, Bin b) { bins[k] = cplx{b.re, b.im}; };
+/// x's low `bits` bits in reverse order.
+[[nodiscard]] inline std::size_t reverse_bits(std::size_t x,
+                                              unsigned bits) noexcept {
+  std::size_t r = 0;
+  for (unsigned b = 0; b < bits; ++b, x >>= 1) r = (r << 1) | (x & 1u);
+  return r;
+}
+
+[[nodiscard]] inline unsigned log2_of(std::size_t m) noexcept {
+  unsigned l = 0;
+  while ((std::size_t{1} << l) < m) ++l;
+  return l;
+}
+
+/// Every bin of Kernels::tap_power_bins: roots j, j + 1 in natural order
+/// per pair of chains, each stored scaled at its bit-reversed position.
+inline void tap_bins(const double* taps, std::size_t ntaps, std::uint64_t h,
+                     const double* yre, const double* yim, std::size_t m,
+                     double s, double* bre, double* bim) noexcept {
   const double zero = zero_below(h);
-  std::size_t j = j0;
-  for (; j + 2 <= m / 2; j += 2) {
-    Bin lo0 = root(j), lo1 = root(j + 1);
-    Bin hi0 = mirror(lo0), hi1 = mirror(lo1);
-    raise_pair(taps, ntaps, h, zero, lo0, lo1);
-    raise_pair(taps, ntaps, h, zero, hi0, hi1);
-    store(j, lo0);
-    store(j + 1, lo1);
-    store(m - j, hi0);
-    store(m - j - 1, hi1);
+  const unsigned bits = log2_of(m);
+  const auto store = [&](std::size_t j, Bin b) {
+    const std::size_t p = reverse_bits(j, bits);
+    bre[p] = s * b.re;
+    bim[p] = s * b.im;
+  };
+  std::size_t j = 0;
+  for (; j + 2 <= m; j += 2) {
+    Bin w0{yre[j], yim[j]}, w1{yre[j + 1], yim[j + 1]};
+    raise_pair(taps, ntaps, h, zero, w0, w1);
+    store(j, w0);
+    store(j + 1, w1);
   }
-  if (j < m / 2) {
-    Bin lo = root(j), hi = mirror(lo);
-    raise_pair(taps, ntaps, h, zero, lo, hi);
-    store(j, lo);
-    store(m - j, hi);
+  if (j < m) {  // m == 1
+    Bin w{yre[j], yim[j]}, spare = w;
+    raise_pair(taps, ntaps, h, zero, w, spare);
+    store(j, w);
   }
-  Bin centre = root(m / 2), spare = centre;
-  raise_pair(taps, ntaps, h, zero, centre, spare);
-  store(m / 2, centre);
 }
 }  // namespace tap_bins_detail
 

@@ -17,14 +17,23 @@ namespace scalar_impl {
 
 namespace {
 
-void cmul(cplx* __restrict a, const cplx* __restrict b, std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) a[k] *= b[k];
+void cmul(double* __restrict are, double* __restrict aim,
+          const double* __restrict bre, const double* __restrict bim,
+          std::size_t m) {
+  for (std::size_t k = 0; k < m; ++k) {
+    const double ar = are[k], ai = aim[k];
+    are[k] = ar * bre[k] - ai * bim[k];
+    aim[k] = ar * bim[k] + ai * bre[k];
+  }
 }
 
-void csquare(cplx* __restrict a, std::size_t n) {
-  // Exactly cmul(a, a): operator*= reads both factors before writing, so
-  // squaring in place evaluates the same expression on the same bits.
-  for (std::size_t k = 0; k < n; ++k) a[k] *= a[k];
+void csquare(double* __restrict re, double* __restrict im, std::size_t m) {
+  // cmul(a, a)'s expressions on one load.
+  for (std::size_t k = 0; k < m; ++k) {
+    const double ar = re[k], ai = im[k];
+    re[k] = ar * ar - ai * ai;
+    im[k] = ar * ai + ai * ar;
+  }
 }
 
 void correlate_taps(const double* __restrict in, const double* __restrict taps,
@@ -90,14 +99,6 @@ void norm_cdf(const double* __restrict x, double* __restrict out,
   for (std::size_t i = 0; i < n; ++i) out[i] = phi_detail::phi_reference(x[i]);
 }
 
-void deinterleave(const cplx* __restrict z, double* __restrict re,
-                  double* __restrict im, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    re[i] = z[i].real();
-    im[i] = z[i].imag();
-  }
-}
-
 void interleave(const double* __restrict re, const double* __restrict im,
                 cplx* __restrict z, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) z[i] = cplx{re[i], im[i]};
@@ -118,12 +119,6 @@ void deinterleave_rev(const cplx* __restrict z,
     re[i] = v.real();
     im[i] = v.imag();
   }
-}
-
-void scale2(double* __restrict re, double* __restrict im, std::size_t n,
-            double s) {
-  for (std::size_t i = 0; i < n; ++i) re[i] *= s;
-  for (std::size_t i = 0; i < n; ++i) im[i] *= s;
 }
 
 void radix2_pass(double* __restrict re, double* __restrict im, std::size_t n) {
@@ -195,21 +190,71 @@ void rfft_untangle(cplx* __restrict spec, const cplx* __restrict tw,
   }
 }
 
-void rfft_retangle(cplx* __restrict spec, const cplx* __restrict tw,
-                   std::size_t m) {
-  for (std::size_t k = 1, j = m - 1; k < j; ++k, --j) {
-    const cplx xk = spec[k], xj = spec[j];
-    const cplx xe = 0.5 * (xk + std::conj(xj));
-    const cplx xo = 0.5 * (xk - std::conj(xj)) * std::conj(tw[k]);
-    spec[k] = xe + cplx{0.0, 1.0} * xo;
-    spec[j] = std::conj(xe) + cplx{0.0, 1.0} * std::conj(xo);
+void dif4_pass(double* __restrict re, double* __restrict im, std::size_t n,
+               std::size_t h, const double* __restrict wsoa) {
+  const double* w1re = wsoa;
+  const double* w1im = wsoa + h;
+  const double* w2re = wsoa + 2 * h;
+  const double* w2im = wsoa + 3 * h;
+  const double* w3re = wsoa + 4 * h;
+  const double* w3im = wsoa + 5 * h;
+  for (std::size_t base = 0; base < n; base += 4 * h) {
+    for (std::size_t j = 0; j < h; ++j) {
+      const std::size_t ia = base + j;
+      const std::size_t ib = ia + h;
+      const std::size_t ic = ia + 2 * h;
+      const std::size_t id = ia + 3 * h;
+      const double s0r = re[ia] + re[ic], s0i = im[ia] + im[ic];
+      const double s1r = re[ia] - re[ic], s1i = im[ia] - im[ic];
+      const double s2r = re[ib] + re[id], s2i = im[ib] + im[id];
+      const double s3r = re[ib] - re[id], s3i = im[ib] - im[id];
+      // t1 = s0 - s2, t2 = s1 - i s3, t3 = s1 + i s3
+      const double t1r = s0r - s2r, t1i = s0i - s2i;
+      const double t2r = s1r + s3i, t2i = s1i - s3r;
+      const double t3r = s1r - s3i, t3i = s1i + s3r;
+      re[ia] = s0r + s2r;
+      im[ia] = s0i + s2i;
+      re[ib] = t1r * w2re[j] - t1i * w2im[j];
+      im[ib] = t1r * w2im[j] + t1i * w2re[j];
+      re[ic] = t2r * w1re[j] - t2i * w1im[j];
+      im[ic] = t2r * w1im[j] + t2i * w1re[j];
+      re[id] = t3r * w3re[j] - t3i * w3im[j];
+      im[id] = t3r * w3im[j] + t3i * w3re[j];
+    }
+  }
+}
+
+void fold_twist(const double* __restrict main, std::size_t nmain,
+                const double* __restrict tail, std::size_t ntail,
+                const double* __restrict wre, const double* __restrict wim,
+                std::size_t m, double* __restrict re, double* __restrict im) {
+  for (std::size_t k = 0; k < m; ++k) {
+    const double lo = fold_detail::at(main, nmain, tail, ntail, k);
+    const double hi = fold_detail::at(main, nmain, tail, ntail, k + m);
+    re[k] = lo * wre[k] - hi * wim[k];
+    im[k] = lo * wim[k] + hi * wre[k];
+  }
+}
+
+void untwist(const double* __restrict re, const double* __restrict im,
+             const double* __restrict wre, const double* __restrict wim,
+             std::size_t m, std::size_t skip, double* __restrict out,
+             std::size_t nout, double s) {
+  const std::size_t end = skip + nout;
+  std::size_t p = skip;
+  for (; p < std::min(end, m); ++p)
+    *out++ = s * (re[p] * wre[p] + im[p] * wim[p]);
+  for (; p < end; ++p) {
+    const std::size_t k = p - m;
+    *out++ = s * (im[k] * wre[k] - re[k] * wim[k]);
   }
 }
 
 void tap_power_bins(const double* __restrict taps, std::size_t ntaps,
-                    std::uint64_t h, const cplx* __restrict tw, std::size_t m,
-                    cplx* __restrict bins) {
-  tap_bins_detail::tap_bins_from(taps, ntaps, h, tw, m, bins, 0);
+                    std::uint64_t h, const double* __restrict yre,
+                    const double* __restrict yim, std::size_t m, double s,
+                    double* __restrict bre, double* __restrict bim) {
+  tap_bins_detail::tap_bins(taps, ntaps, h, yre, yim, m, s, bre, bim);
 }
 
 }  // namespace
@@ -222,13 +267,13 @@ const Kernels scalar = {
     scalar_impl::cmul,           scalar_impl::csquare,
     scalar_impl::correlate_taps, scalar_impl::correlate_taps_2row,
     scalar_impl::stencil3,       scalar_impl::stencil3_2row,
-    scalar_impl::deinterleave,   scalar_impl::interleave,
-    scalar_impl::interleave_scaled,
+    scalar_impl::interleave,     scalar_impl::interleave_scaled,
     scalar_impl::deinterleave_rev,
-    scalar_impl::scale2,         scalar_impl::radix2_pass,
-    scalar_impl::radix4_pass,    scalar_impl::rfft_untangle,
-    scalar_impl::rfft_retangle,  scalar_impl::tap_power_bins,
-    scalar_impl::bs_dpm,         scalar_impl::norm_cdf,
+    scalar_impl::radix2_pass,    scalar_impl::radix4_pass,
+    scalar_impl::rfft_untangle,  scalar_impl::dif4_pass,
+    scalar_impl::fold_twist,     scalar_impl::untwist,
+    scalar_impl::tap_power_bins, scalar_impl::bs_dpm,
+    scalar_impl::norm_cdf,
 };
 
 }  // namespace tables

@@ -13,7 +13,6 @@
 //   madd(a, b, c) = a*b + c, msub(a, b, c) = a*b - c
 //                              a separate multiply and add on AVX2 (scalar
 //                              bits), an FMA on AVX-512
-//   cmul(a, b)                 interleaved complex product of kLanes/2 pairs
 //   load_split / store_join    2*kLanes interleaved doubles <-> re, im
 //   reverse                    lane order reversed
 //   gather(z, idx, re, im)     re/im of the complex elements z[idx[0..)]
@@ -23,9 +22,11 @@
 //                              integral k; select_ge0: x >= 0 ? a : b)
 //   or_, all_zero              tap_power_bins' skip test (all_zero: every
 //                              lane's bits are zero)
-//   radix4_small(...)          the radix-4 stages with h < kLanes (their
-//                              shuffles are width-specific; most run
-//                              through radix4_packed below)
+//   transpose(r)               kLanes x kLanes in-register transpose
+//   radix4_small(...), dif4_small(...)
+//                              the DIT / DIF radix-4 stages with h < kLanes
+//                              (their shuffles are width-specific; most
+//                              run through radix4_packed below)
 //   kComputeTwiddleH           the general stage's computed-twiddle crossover
 //
 // madd/msub appear exactly where the AVX-512 kernels use an FMA; everything
@@ -45,26 +46,36 @@ namespace {
 // ------------------------------------------------------------- spectrum
 
 template <class V>
-void cmul(cplx* a, const cplx* b, std::size_t n) {
-  auto* ad = reinterpret_cast<double*>(a);
-  const auto* bd = reinterpret_cast<const double*>(b);
+void cmul(double* are, double* aim, const double* bre, const double* bim,
+          std::size_t m) {
   std::size_t k = 0;
-  for (; k + V::kLanes / 2 <= n; k += V::kLanes / 2)
-    V::store(ad + 2 * k, V::cmul(V::load(ad + 2 * k), V::load(bd + 2 * k)));
-  for (; k < n; ++k) a[k] *= b[k];
+  for (; k + V::kLanes <= m; k += V::kLanes) {
+    const typename V::reg ar = V::load(are + k), ai = V::load(aim + k);
+    const typename V::reg br = V::load(bre + k), bi = V::load(bim + k);
+    V::store(are + k, V::msub(ar, br, V::mul(ai, bi)));
+    V::store(aim + k, V::madd(ar, bi, V::mul(ai, br)));
+  }
+  for (; k < m; ++k) {
+    const double ar = are[k], ai = aim[k];
+    are[k] = ar * bre[k] - ai * bim[k];
+    aim[k] = ar * bim[k] + ai * bre[k];
+  }
 }
 
 template <class V>
-void csquare(cplx* a, std::size_t n) {
-  // cmul with both factors taken from one load: the same shuffle and
-  // multiply sequence, so it matches cmul(a, a) lane for lane.
-  auto* ad = reinterpret_cast<double*>(a);
+void csquare(double* re, double* im, std::size_t m) {
+  // cmul(a, a)'s operation sequence on one load, lane for lane.
   std::size_t k = 0;
-  for (; k + V::kLanes / 2 <= n; k += V::kLanes / 2) {
-    const typename V::reg v = V::load(ad + 2 * k);
-    V::store(ad + 2 * k, V::cmul(v, v));
+  for (; k + V::kLanes <= m; k += V::kLanes) {
+    const typename V::reg ar = V::load(re + k), ai = V::load(im + k);
+    V::store(re + k, V::msub(ar, ar, V::mul(ai, ai)));
+    V::store(im + k, V::madd(ar, ai, V::mul(ai, ar)));
   }
-  for (; k < n; ++k) a[k] *= a[k];
+  for (; k < m; ++k) {
+    const double ar = re[k], ai = im[k];
+    re[k] = ar * ar - ai * ai;
+    im[k] = ar * ai + ai * ar;
+  }
 }
 
 // ------------------------------------------- small-tap correlation sweeps
@@ -228,22 +239,6 @@ void norm_cdf(const double* x, double* out, std::size_t n) {
 // ------------------------------------------------- SoA layout conversions
 
 template <class V>
-void deinterleave(const cplx* z, double* re, double* im, std::size_t n) {
-  const auto* zd = reinterpret_cast<const double*>(z);
-  std::size_t i = 0;
-  for (; i + V::kLanes <= n; i += V::kLanes) {
-    typename V::reg vr, vi;
-    V::load_split(zd + 2 * i, vr, vi);
-    V::store(re + i, vr);
-    V::store(im + i, vi);
-  }
-  for (; i < n; ++i) {
-    re[i] = z[i].real();
-    im[i] = z[i].imag();
-  }
-}
-
-template <class V>
 void interleave(const double* re, const double* im, cplx* z, std::size_t n) {
   auto* zd = reinterpret_cast<double*>(z);
   std::size_t i = 0;
@@ -285,17 +280,6 @@ void deinterleave_rev(const cplx* z, const std::uint32_t* rev, double* re,
     const cplx v = z[rev[i]];
     re[i] = v.real();
     im[i] = v.imag();
-  }
-}
-
-template <class V>
-void scale2(double* re, double* im, std::size_t n, double s) {
-  const typename V::reg vs = V::set1(s);
-  for (double* p : {re, im}) {
-    std::size_t i = 0;
-    for (; i + V::kLanes <= n; i += V::kLanes)
-      V::store(p + i, V::mul(V::load(p + i), vs));
-    for (; i < n; ++i) p[i] *= s;
   }
 }
 
@@ -414,14 +398,67 @@ void radix4_stage(double* re, double* im, std::size_t n, std::size_t h,
   }
 }
 
-/// The loop of the radix-4 stages with 1 < h < kLanes. Each iteration packs
-/// 4 kLanes elements per array into per-operand registers with `split` (h
-/// lanes from each of several butterfly blocks), runs the butterfly with
-/// the stage twiddles broadcast to every block by `bcast`, and unpacks with
-/// `join`. Elements past the last whole iteration go to `fallback`.
-template <class V, class Bcast, class Split, class Join>
+/// The decimation-in-frequency butterfly before its twiddle products:
+/// o[0] = s0 + s2, o[1] = s0 - s2, o[2] = s1 - i s3, o[3] = s1 + i s3 with
+/// s0 = a + c, s1 = a - c, s2 = b + d, s3 = b - d. The caller multiplies
+/// o[1], o[2], o[3] by W^2j, W^j, W^3j (Kernels::dif4_pass).
+template <class V>
+[[gnu::always_inline]] inline void dif_butterfly(Cv<V> a, Cv<V> b, Cv<V> c,
+                                                 Cv<V> d, Cv<V> (&o)[4]) {
+  const Cv<V> s0 = {V::add(a.re, c.re), V::add(a.im, c.im)};
+  const Cv<V> s1 = {V::sub(a.re, c.re), V::sub(a.im, c.im)};
+  const Cv<V> s2 = {V::add(b.re, d.re), V::add(b.im, d.im)};
+  const Cv<V> s3 = {V::sub(b.re, d.re), V::sub(b.im, d.im)};
+  o[0] = {V::add(s0.re, s2.re), V::add(s0.im, s2.im)};
+  o[1] = {V::sub(s0.re, s2.re), V::sub(s0.im, s2.im)};
+  o[2] = {V::add(s1.re, s3.im), V::sub(s1.im, s3.re)};
+  o[3] = {V::sub(s1.re, s3.im), V::add(s1.im, s3.re)};
+}
+
+/// The general DIF radix-4 stage, h >= kLanes: radix4_stage's loads and
+/// twiddle policy around dif_butterfly.
+template <class V, bool ComputeW>
+void dif4_stage(double* re, double* im, std::size_t n, std::size_t h,
+                const double* wsoa) {
+  for (std::size_t base = 0; base < n; base += 4 * h) {
+    for (std::size_t j = 0; j < h; j += V::kLanes) {
+      const std::size_t ia = base + j;
+      const Cv<V> w1 = {V::load(wsoa + j), V::load(wsoa + h + j)};
+      Cv<V> w2, w3;
+      if constexpr (ComputeW) {
+        w2 = twiddle<V>(w1, w1.re, w1.im);
+        w3 = twiddle<V>(w2, w1.re, w1.im);
+      } else {
+        w2 = {V::load(wsoa + 2 * h + j), V::load(wsoa + 3 * h + j)};
+        w3 = {V::load(wsoa + 4 * h + j), V::load(wsoa + 5 * h + j)};
+      }
+      Cv<V> o[4];
+      dif_butterfly<V>({V::load(re + ia), V::load(im + ia)},
+                       {V::load(re + ia + h), V::load(im + ia + h)},
+                       {V::load(re + ia + 2 * h), V::load(im + ia + 2 * h)},
+                       {V::load(re + ia + 3 * h), V::load(im + ia + 3 * h)},
+                       o);
+      o[1] = twiddle<V>(o[1], w2.re, w2.im);
+      o[2] = twiddle<V>(o[2], w1.re, w1.im);
+      o[3] = twiddle<V>(o[3], w3.re, w3.im);
+      for (std::size_t q = 0; q < 4; ++q) {
+        V::store(re + ia + q * h, o[q].re);
+        V::store(im + ia + q * h, o[q].im);
+      }
+    }
+  }
+}
+
+/// The loop of the radix-4 stages with 1 < h < kLanes, DIT (Dif = false)
+/// or DIF. Each iteration packs 4 kLanes elements per array into
+/// per-operand registers with `split` (h lanes from each of several
+/// butterfly blocks), runs the butterfly with the stage twiddles broadcast
+/// to every block by `bcast`, and unpacks with `join`. Elements past the
+/// last whole iteration go to `fallback(re, im, n, h, wsoa)`.
+template <class V, bool Dif, class Fallback, class Bcast, class Split,
+          class Join>
 void radix4_packed(double* re, double* im, std::size_t n, std::size_t h,
-                   const double* wsoa, bool inverse, const Kernels& fallback,
+                   const double* wsoa, bool inverse, Fallback fallback,
                    Bcast bcast, Split split, Join join) {
   using reg = typename V::reg;
   const Rotation<V> rs(inverse);
@@ -436,14 +473,22 @@ void radix4_packed(double* re, double* im, std::size_t n, std::size_t h,
     split(re + base, xr);
     split(im + base, xi);
     Cv<V> o[4];
-    butterfly<V>({xr[0], xi[0]}, twiddle_plain<V>({xr[1], xi[1]}, w[2], w[3]),
-                 twiddle_plain<V>({xr[2], xi[2]}, w[0], w[1]),
-                 twiddle_plain<V>({xr[3], xi[3]}, w[4], w[5]), rs, o);
+    if constexpr (Dif) {
+      dif_butterfly<V>({xr[0], xi[0]}, {xr[1], xi[1]}, {xr[2], xi[2]},
+                       {xr[3], xi[3]}, o);
+      o[1] = twiddle_plain<V>(o[1], w[2], w[3]);
+      o[2] = twiddle_plain<V>(o[2], w[0], w[1]);
+      o[3] = twiddle_plain<V>(o[3], w[4], w[5]);
+    } else {
+      butterfly<V>({xr[0], xi[0]},
+                   twiddle_plain<V>({xr[1], xi[1]}, w[2], w[3]),
+                   twiddle_plain<V>({xr[2], xi[2]}, w[0], w[1]),
+                   twiddle_plain<V>({xr[3], xi[3]}, w[4], w[5]), rs, o);
+    }
     join(re + base, o[0].re, o[1].re, o[2].re, o[3].re);
     join(im + base, o[0].im, o[1].im, o[2].im, o[3].im);
   }
-  if (base < n)
-    fallback.radix4_pass(re + base, im + base, n - base, h, wsoa, inverse);
+  if (base < n) fallback(re + base, im + base, n - base, h, wsoa);
 }
 
 template <class V>
@@ -458,7 +503,81 @@ void radix4_pass(double* re, double* im, std::size_t n, std::size_t h,
   }
 }
 
-// ----------------------------------------------- R2C / C2R pair twiddles
+template <class V>
+void dif4_pass(double* re, double* im, std::size_t n, std::size_t h,
+               const double* wsoa) {
+  if (h < V::kLanes) {
+    V::dif4_small(re, im, n, h, wsoa);
+  } else if (h >= V::kComputeTwiddleH) {
+    dif4_stage<V, true>(re, im, n, h, wsoa);
+  } else {
+    dif4_stage<V, false>(re, im, n, h, wsoa);
+  }
+}
+
+// ------------------------------------------- negacyclic fold and unfold
+
+template <class V>
+void fold_twist(const double* main, std::size_t nmain, const double* tail,
+                std::size_t ntail, const double* wre, const double* wim,
+                std::size_t m, double* re, double* im) {
+  using reg = typename V::reg;
+  constexpr std::size_t L = V::kLanes;
+  const std::size_t nx = nmain + ntail;
+  // Lanes [p, p + L) of the logical operand: one load inside `main`, zero
+  // past the end, and the few vectors that straddle the tail staged.
+  const auto load_x = [&](std::size_t p) -> reg {
+    if (p + L <= nmain) return V::load(main + p);
+    if (p >= nx) return V::zero();
+    double buf[L];
+    for (std::size_t l = 0; l < L; ++l)
+      buf[l] = fold_detail::at(main, nmain, tail, ntail, p + l);
+    return V::load(buf);
+  };
+  std::size_t k = 0;
+  for (; k + L <= m; k += L) {
+    const reg lo = load_x(k), hi = load_x(k + m);
+    const reg wr = V::load(wre + k), wi = V::load(wim + k);
+    V::store(re + k, V::msub(lo, wr, V::mul(hi, wi)));
+    V::store(im + k, V::madd(lo, wi, V::mul(hi, wr)));
+  }
+  for (; k < m; ++k) {
+    const double lo = fold_detail::at(main, nmain, tail, ntail, k);
+    const double hi = fold_detail::at(main, nmain, tail, ntail, k + m);
+    re[k] = lo * wre[k] - hi * wim[k];
+    im[k] = lo * wim[k] + hi * wre[k];
+  }
+}
+
+template <class V>
+void untwist(const double* re, const double* im, const double* wre,
+             const double* wim, std::size_t m, std::size_t skip, double* out,
+             std::size_t nout, double s) {
+  constexpr std::size_t L = V::kLanes;
+  const typename V::reg vs = V::set1(s);
+  const std::size_t end = skip + nout;
+  const std::size_t lo_end = std::min(end, m);
+  std::size_t p = skip;
+  // c[p] = Re(u[p] conj(w[p])) below m ...
+  for (; p + L <= lo_end; p += L, out += L)
+    V::store(out, V::mul(vs, V::madd(V::load(re + p), V::load(wre + p),
+                                     V::mul(V::load(im + p),
+                                            V::load(wim + p)))));
+  for (; p < lo_end; ++p) *out++ = s * (re[p] * wre[p] + im[p] * wim[p]);
+  // ... and c[m + k] = Im(u[k] conj(w[k])) above it.
+  for (; p + L <= end; p += L, out += L) {
+    const std::size_t k = p - m;
+    V::store(out, V::mul(vs, V::msub(V::load(im + k), V::load(wre + k),
+                                     V::mul(V::load(re + k),
+                                            V::load(wim + k)))));
+  }
+  for (; p < end; ++p) {
+    const std::size_t k = p - m;
+    *out++ = s * (im[k] * wre[k] - re[k] * wim[k]);
+  }
+}
+
+// ------------------------------------------------------ R2C pair twiddles
 //
 // kLanes pairs (k, j) per iteration: the j-side block is loaded from
 // j - kLanes + 1 upwards and lane-reversed so lane l holds index j - l.
@@ -502,111 +621,117 @@ void rfft_untangle(cplx* spec, const cplx* tw, std::size_t m) {
   }
 }
 
-template <class V>
-void rfft_retangle(cplx* spec, const cplx* tw, std::size_t m) {
-  using reg = typename V::reg;
-  constexpr std::size_t L = V::kLanes;
-  auto* sd = reinterpret_cast<double*>(spec);
-  const auto* td = reinterpret_cast<const double*>(tw);
-  const reg half = V::set1(0.5);
-  std::size_t k = 1, j = m - 1;
-  for (; k + 2 * L - 1 <= j; k += L, j -= L) {
-    reg kr, ki, jr, ji, twr, twi;
-    V::load_split(sd + 2 * k, kr, ki);
-    V::load_split(sd + 2 * (j - L + 1), jr, ji);
-    jr = V::reverse(jr);
-    ji = V::reverse(ji);
-    V::load_split(td + 2 * k, twr, twi);
-    // xe = (X[k] + conj(X[j]))/2, u = (X[k] - conj(X[j]))/2,
-    // xo = u * conj(t_k)
-    const reg xer = V::mul(half, V::add(kr, jr));
-    const reg xei = V::mul(half, V::sub(ki, ji));
-    const reg ur = V::mul(half, V::sub(kr, jr));
-    const reg ui = V::mul(half, V::add(ki, ji));
-    const reg xor_ = V::add(V::mul(ur, twr), V::mul(ui, twi));
-    const reg xoi = V::sub(V::mul(ui, twr), V::mul(ur, twi));
-    // Z[k] = xe + i xo, Z[j] = conj(xe) + i conj(xo)
-    V::store_join(sd + 2 * k, V::sub(xer, xoi), V::add(xei, xor_));
-    const reg ojr = V::reverse(V::add(xer, xoi));
-    const reg oji = V::reverse(V::sub(xor_, xei));
-    V::store_join(sd + 2 * (j - L + 1), ojr, oji);
-  }
-  for (; k < j; ++k, --j) {
-    const cplx xk = spec[k], xj = spec[j];
-    const cplx xe = 0.5 * (xk + std::conj(xj));
-    const cplx xo = 0.5 * (xk - std::conj(xj)) * std::conj(tw[k]);
-    spec[k] = xe + cplx{0.0, 1.0} * xo;
-    spec[j] = std::conj(xe) + cplx{0.0, 1.0} * std::conj(xo);
-  }
-}
-
 // -------------------------------------------- kernel spectra from the taps
 //
-// Two vectors of adjacent roots per chain pair: their bins decay alike, so
-// at large h whole pairs fall under tap_bins_detail::kFloor and skip their
-// chains. Lanes under the floor start at exactly 0 and stay 0. Each block
-// of lower roots w_j is followed by its mirror block -conj(w_j), whose bins
-// m - j are stored lane-reversed like the R2C pair loops'. Every step is
-// tap_bins_detail's scalar sequence, which also finishes the tail.
+// The bins are raised in natural root order, one vector of kLanes adjacent
+// roots at a time: adjacent roots decay alike, so at large h whole vectors
+// fall under tap_bins_detail::kFloor and skip their chains (lanes under the
+// floor start at exactly 0 and stay 0). Their bit-reversed homes are not
+// adjacent: with B = m / kLanes, lane r of the vector of roots
+// [kLanes rev_B(c), kLanes rev_B(c) + kLanes) belongs at position
+// rev_L(r) B + c. So the kernel raises the kLanes vectors of columns
+// c0 .. c0 + kLanes - 1 together, transposes them in registers, and stores
+// each of the kLanes resulting rows contiguously. The kept vectors of two
+// such groups run their chains four at a time. Every step is tap_bins_detail's
+// scalar sequence, which also covers m < kLanes^2 whole.
+
+/// *z[k] <- *z[k]^h for K vectors at once: square-and-multiply over the
+/// bits of h, K independent chains in flight.
+template <class V, std::size_t K>
+void raise_chains(Cv<V>* const* z, std::uint64_t h) {
+  Cv<V> base[K], acc[K];
+  for (std::size_t k = 0; k < K; ++k) {
+    base[k] = *z[k];
+    acc[k] = {V::set1(1.0), V::zero()};
+  }
+  for (std::uint64_t e = h;;) {
+    if (e & 1u) {
+      for (std::size_t k = 0; k < K; ++k)
+        acc[k] = twiddle<V>(acc[k], base[k].re, base[k].im);
+    }
+    e >>= 1;
+    if (e == 0) break;
+    for (std::size_t k = 0; k < K; ++k)
+      base[k] = twiddle<V>(base[k], base[k].re, base[k].im);
+  }
+  for (std::size_t k = 0; k < K; ++k) *z[k] = acc[k];
+}
 
 template <class V>
 void tap_power_bins(const double* taps, std::size_t ntaps, std::uint64_t h,
-                    const cplx* tw, std::size_t m, cplx* bins) {
+                    const double* yre, const double* yim, std::size_t m,
+                    double s, double* bre, double* bim) {
   using reg = typename V::reg;
   constexpr std::size_t L = V::kLanes;
-  const auto* td = reinterpret_cast<const double*>(tw);
-  auto* bd = reinterpret_cast<double*>(bins);
+  if (m < L * L) {
+    tap_bins_detail::tap_bins(taps, ntaps, h, yre, yim, m, s, bre, bim);
+    return;
+  }
+  // Column c0 = L g starts the roots of vector k at j = L s_k with
+  // s_k = rev_B(c0 + k) = rev_{B/L}(g) + rev_L(k) (B / L).
+  const std::size_t B = m / L;
+  const std::size_t G = B / L;
+  std::size_t lane_off[L];
+  for (std::size_t k = 0; k < L; ++k)
+    lane_off[k] = tap_bins_detail::reverse_bits(
+                      k, tap_bins_detail::log2_of(L)) * G;
   const reg zero = V::set1(tap_bins_detail::zero_below(h));
-  // R(w)^h for the two root vectors w[0], w[1], in place.
-  const auto raise = [&](Cv<V>(&w)[2]) {
-    Cv<V> z[2];
-    for (int q = 0; q < 2; ++q) {
-      z[q] = {V::set1(taps[0]), V::zero()};
-      for (std::size_t i = 1; i < ntaps; ++i) {
-        z[q] = twiddle<V>(z[q], w[q].re, w[q].im);
-        z[q].re = V::add(z[q].re, V::set1(taps[i]));
-      }
-      const reg keep = V::sub(
-          V::madd(z[q].re, z[q].re, V::mul(z[q].im, z[q].im)), zero);
-      z[q] = {V::select_ge0(keep, z[q].re, V::zero()),
-              V::select_ge0(keep, z[q].im, V::zero())};
+  const reg vs = V::set1(s);
+  // R(y) for the roots [j, j + L), floored to exactly 0 under kFloor.
+  const auto horner = [&](std::size_t j) -> Cv<V> {
+    const Cv<V> y = {V::load(yre + j), V::load(yim + j)};
+    Cv<V> z = {V::set1(taps[0]), V::zero()};
+    for (std::size_t i = 1; i < ntaps; ++i) {
+      z = twiddle<V>(z, y.re, y.im);
+      z.re = V::add(z.re, V::set1(taps[i]));
     }
-    if (h != 0 && V::all_zero(V::or_(V::or_(z[0].re, z[0].im),
-                                     V::or_(z[1].re, z[1].im)))) {
-      w[0] = w[1] = {V::zero(), V::zero()};
-      return;
-    }
-    Cv<V> acc[2] = {{V::set1(1.0), V::zero()}, {V::set1(1.0), V::zero()}};
-    for (std::uint64_t e = h;;) {
-      if (e & 1u) {
-        acc[0] = twiddle<V>(acc[0], z[0].re, z[0].im);
-        acc[1] = twiddle<V>(acc[1], z[1].re, z[1].im);
-      }
-      e >>= 1;
-      if (e == 0) break;
-      z[0] = twiddle<V>(z[0], z[0].re, z[0].im);
-      z[1] = twiddle<V>(z[1], z[1].re, z[1].im);
-    }
-    w[0] = acc[0];
-    w[1] = acc[1];
+    const reg keep =
+        V::sub(V::madd(z.re, z.re, V::mul(z.im, z.im)), zero);
+    return {V::select_ge0(keep, z.re, V::zero()),
+            V::select_ge0(keep, z.im, V::zero())};
   };
-  const reg sign = V::set1(-0.0);
-  std::size_t j = 0;
-  for (; j + 2 * L <= m / 2; j += 2 * L) {
-    Cv<V> lo[2], hi[2];
-    for (std::size_t q = 0; q < 2; ++q) {
-      V::load_split(td + 2 * (j + q * L), lo[q].re, lo[q].im);
-      hi[q] = {V::xor_(lo[q].re, sign), lo[q].im};  // -conj(w)
+  // Two groups' kept vectors raise together, up to four chains in flight.
+  constexpr std::size_t kGroups = 2;
+  const std::size_t per = std::min(G, kGroups);
+  for (std::size_t g = 0, rg = 0; g < G; g += per) {
+    Cv<V> z[kGroups * L];
+    Cv<V>* kept[kGroups * L];
+    std::size_t nk = 0;
+    for (std::size_t u = 0; u < per; ++u) {
+      for (std::size_t k = 0; k < L; ++k) {
+        Cv<V>& zk = z[u * L + k];
+        zk = horner(L * (rg + lane_off[k]));
+        if (h == 0 || !V::all_zero(V::or_(zk.re, zk.im))) kept[nk++] = &zk;
+      }
+      // rg = rev_{B/L}(g + u + 1): the bit-reversed increment.
+      std::size_t bit = G >> 1;
+      for (; bit != 0 && (rg & bit) != 0; bit >>= 1) rg ^= bit;
+      rg |= bit;
     }
-    raise(lo);
-    raise(hi);
-    for (std::size_t q = 0; q < 2; ++q) {
-      V::store_join(bd + 2 * (j + q * L), lo[q].re, lo[q].im);
-      V::store_join(bd + 2 * (m - j - q * L - L + 1), V::reverse(hi[q].re),
-                    V::reverse(hi[q].im));
+    std::size_t q = 0;
+    for (; q + 4 <= nk; q += 4) raise_chains<V, 4>(kept + q, h);
+    switch (nk - q) {
+      case 3: raise_chains<V, 3>(kept + q, h); break;
+      case 2: raise_chains<V, 2>(kept + q, h); break;
+      case 1: raise_chains<V, 1>(kept + q, h); break;
+      default: break;
+    }
+    for (std::size_t u = 0; u < per; ++u) {
+      reg zr[L], zi[L];
+      for (std::size_t k = 0; k < L; ++k) {
+        zr[k] = V::mul(vs, z[u * L + k].re);
+        zi[k] = V::mul(vs, z[u * L + k].im);
+      }
+      V::transpose(zr);
+      V::transpose(zi);
+      const std::size_t c0 = (g + u) * L;
+      for (std::size_t r = 0; r < L; ++r) {
+        const std::size_t p = lane_off[r] * L + c0;  // rev_L(r) B + c0
+        V::store(bre + p, zr[r]);
+        V::store(bim + p, zi[r]);
+      }
     }
   }
-  tap_bins_detail::tap_bins_from(taps, ntaps, h, tw, m, bins, j);
 }
 
 // ------------------------------------------------------------------ table
@@ -614,12 +739,12 @@ void tap_power_bins(const double* taps, std::size_t ntaps, std::uint64_t h,
 template <class V>
 constexpr Kernels table() {
   return {
-      cmul<V>,           csquare<V>,        correlate_taps<V>,
-      correlate_taps_2row<V>, stencil3<V>,  stencil3_2row<V>,
-      deinterleave<V>,   interleave<V>,     interleave_scaled<V>,
-      deinterleave_rev<V>, scale2<V>,       radix2_pass<V>,
-      radix4_pass<V>,    rfft_untangle<V>,  rfft_retangle<V>,
-      tap_power_bins<V>, bs_dpm<V>,         norm_cdf<V>,
+      cmul<V>,           csquare<V>,         correlate_taps<V>,
+      correlate_taps_2row<V>, stencil3<V>,   stencil3_2row<V>,
+      interleave<V>,     interleave_scaled<V>, deinterleave_rev<V>,
+      radix2_pass<V>,    radix4_pass<V>,     rfft_untangle<V>,
+      dif4_pass<V>,      fold_twist<V>,      untwist<V>,
+      tap_power_bins<V>, bs_dpm<V>,          norm_cdf<V>,
   };
 }
 

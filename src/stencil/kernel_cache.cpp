@@ -24,7 +24,7 @@ namespace {
 }
 
 [[nodiscard]] std::size_t spectrum_bytes_of(const fft::RealSpectrum& s) {
-  return s.bins.size() * sizeof(fft::cplx);
+  return s.bins.size() * sizeof(double);
 }
 
 }  // namespace
@@ -174,22 +174,21 @@ fft::RealSpectrum KernelCache::compute_spectrum(std::uint64_t h,
   const std::span<const double> taps = stencil_.taps;
   const std::size_t klen = (taps.size() - 1) * static_cast<std::size_t>(h) + 1;
   AMOPT_EXPECTS(n >= klen);
-  // Below 4 points the plan has no quarter-circle table; no FFT-path
-  // correlation is that small, so these keep the transformed power.
-  if (n < 4) {
-    return conv::kernel_spectrum(power(h), n, /*reversed=*/true,
-                                 conv::thread_workspace());
-  }
+  // The negacyclic transform's smallest size is 2 (one complex point).
+  const fft::NegacyclicPlan& plan =
+      fft::negacyclic_plan_for(std::max<std::size_t>(n, 2));
+  const std::size_t m = plan.points();
   fft::RealSpectrum spec;
-  spec.n = n;
+  spec.n = plan.size();
   spec.klen = klen;
   spec.reversed = true;
-  spec.bins.resize(spec.spectrum_size());
-  simd::kernels().tap_power_bins(taps.data(), taps.size(), h,
-                                 fft::real_plan_for(n).quarter_roots().data(),
-                                 n / 2, spec.bins.data());
+  spec.bins.resize(2 * m);  // uninitialized: the kernel writes every bin
+  simd::kernels().tap_power_bins(taps.data(), taps.size(), h, plan.root_re(),
+                                 plan.root_im(), m,
+                                 1.0 / static_cast<double>(m),
+                                 spec.bins.data(), spec.bins.data() + m);
   // Horner plus ~2 log2(h) complex products per bin.
-  metrics::add_flops(6 * spec.bins.size() *
+  metrics::add_flops(6 * m *
                      (taps.size() + 2 * static_cast<std::size_t>(
                                             std::bit_width(h))));
   return spec;

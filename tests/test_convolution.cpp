@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "amopt/fft/convolution.hpp"
+#include "amopt/simd/simd.hpp"
 
 namespace {
 
@@ -245,6 +246,53 @@ TEST(Convolution, MinimalPaddingWindowIsAliasFree) {
     for (std::size_t i = 0; i < n_out; ++i)
       ASSERT_NEAR(wide[i], oracle[i], tol) << "over-padded i=" << i;
   }
+}
+
+TEST(Correlation, NegacyclicPipelineMatchesDirectAtEveryLevel) {
+  // The negacyclic product wraps what lies past n onto the bins below the
+  // read window, negated. Exercise the edges of that rule against the
+  // direct oracle at every dispatch level: an input that fills its
+  // transform exactly (na = n), the same input split (main, tail), a
+  // single output cell, odd lengths, and the degenerate 1 x 1 product —
+  // on the transform-per-call path and against a kernel spectrum.
+  struct Case {
+    std::size_t n_main, n_tail, n_k, n_out;
+  };
+  const Case cases[] = {{1024, 0, 300, 725}, {1023, 1, 300, 725},
+                        {512, 0, 512, 1},    {408, 1, 77, 333},
+                        {4095, 1, 2049, 2048}, {1, 0, 1, 1}};
+  for (const simd::Level lvl :
+       {simd::Level::scalar, simd::Level::avx2, simd::Level::avx512}) {
+    if (static_cast<int>(lvl) > static_cast<int>(simd::max_supported()))
+      continue;
+    simd::set_level(lvl);
+    for (const Case& c : cases) {
+      const auto main = random_vec(c.n_main, 91);
+      const auto tail = random_vec(c.n_tail, 92);
+      const auto kernel = random_vec(c.n_k, 93);
+      std::vector<double> in(main);
+      in.insert(in.end(), tail.begin(), tail.end());
+      std::vector<double> oracle(c.n_out), got(c.n_out);
+      conv::correlate_valid_direct(in, kernel, oracle);
+      double scale = 1.0;
+      for (const double v : oracle) scale = std::max(scale, std::abs(v));
+      const double tol = 1e-12 * scale;
+      conv::Workspace ws;
+      conv::correlate_valid(main, tail, kernel, got, ws,
+                            {conv::Policy::Path::fft});
+      for (std::size_t i = 0; i < c.n_out; ++i)
+        ASSERT_NEAR(got[i], oracle[i], tol)
+            << simd::to_string(lvl) << " fft n_k=" << c.n_k << " i=" << i;
+      const auto kspec = conv::kernel_spectrum(
+          kernel, conv::correlate_fft_size(c.n_out, c.n_k), true, ws);
+      conv::correlate_valid(main, tail, kspec, got, ws);
+      for (std::size_t i = 0; i < c.n_out; ++i)
+        ASSERT_NEAR(got[i], oracle[i], tol)
+            << simd::to_string(lvl) << " spectral n_k=" << c.n_k
+            << " i=" << i;
+    }
+  }
+  simd::set_level(simd::max_supported());
 }
 
 TEST(Correlation, SplitOperandMatchesConcatenatedBitForBit) {

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "amopt/core/lattice_solver.hpp"
+#include "amopt/core/task_pool.hpp"
 #include "amopt/pricing/bopm.hpp"
 #include "amopt/pricing/params.hpp"
 #include "amopt/pricing/topm.hpp"
+#include "amopt/simd/kernels.hpp"
 #include "amopt/stencil/kernel_cache.hpp"
 
 namespace {
@@ -228,6 +231,145 @@ TEST(LatticeSolver, StepNaiveShrinksRowWidth) {
     EXPECT_LE(next.q, row.q);          // call boundary never moves right
     EXPECT_GE(next.q, -1);
     row = next;
+  }
+}
+
+/// The step step_naive(row, true) took before it walked the boundary from
+/// the old one: every cell of the new row evaluated (the dispatched red
+/// interior, then the scalar tail over the green extension), then the
+/// boundary found by a downward scan of the whole row.
+core::LatticeRow full_row_scan(const core::LatticeRow& row,
+                               std::span<const double> taps,
+                               const core::ExerciseTable& green) {
+  const std::int64_t g = static_cast<std::int64_t>(taps.size()) - 1;
+  core::LatticeRow next;
+  next.i = row.i - 1;
+  const std::int64_t jmax = g * next.i;
+  next.red.resize(static_cast<std::size_t>(jmax + 1));
+  const std::int64_t jv = std::min(jmax, row.q - g);
+  if (jv >= 0)
+    simd::kernels().correlate_taps(row.red.data(), taps.data(), taps.size(),
+                                   next.red.data(),
+                                   static_cast<std::size_t>(jv + 1));
+  for (std::int64_t j = std::max<std::int64_t>(jv + 1, 0); j <= jmax; ++j) {
+    double lin = 0.0;
+    for (std::size_t k = 0; k < taps.size(); ++k) {
+      const std::int64_t c = j + static_cast<std::int64_t>(k);
+      lin += taps[k] * (c <= row.q ? row.red[static_cast<std::size_t>(c)]
+                                   : green.value(row.i, c));
+    }
+    next.red[static_cast<std::size_t>(j)] = lin;
+  }
+  next.q = -1;
+  for (std::int64_t j = jmax; j >= 0; --j) {
+    if (next.red[static_cast<std::size_t>(j)] >= green.value(next.i, j)) {
+      next.q = j;
+      break;
+    }
+  }
+  next.red.resize(static_cast<std::size_t>(next.q + 1));
+  return next;
+}
+
+/// The two top rows off expiry by step_naive(row, true) and by the full-row
+/// scan: identical q and identical bits in every red cell.
+void expect_top_rows_match(core::LatticeSolver& solver,
+                           std::span<const double> taps,
+                           const core::ExerciseTable& green,
+                           core::LatticeRow row, const char* what) {
+  for (int step = 0; step < 2 && row.i > 0; ++step) {
+    const core::LatticeRow want = full_row_scan(row, taps, green);
+    const core::LatticeRow got = solver.step_naive(row, true);
+    ASSERT_EQ(got.q, want.q) << what << " row " << want.i;
+    ASSERT_EQ(got.red.size(), want.red.size()) << what << " row " << want.i;
+    for (std::size_t j = 0; j < want.red.size(); ++j)
+      ASSERT_EQ(got.red[j], want.red[j]) << what << " row " << want.i
+                                         << " j=" << j;
+    row = got;
+  }
+}
+
+TEST(LatticeSolver, TopRowsStopAtTheBoundaryWithFullScanBits) {
+  struct Rates {
+    double R, Y;
+    const char* name;
+  };
+  const Rates rates[] = {
+      {0.08, 0.02, "R>Y"}, {0.02, 0.08, "R<Y"}, {0.05, 0.05, "R=Y"}};
+  for (const Rates& r : rates) {
+    for (const double S : {60.0, 100.0, 160.0}) {
+      for (const std::int64_t T : {3, 64, 2048, 8192}) {
+        OptionSpec spec = pricing::paper_spec();
+        spec.S = S;
+        spec.K = 100.0;
+        spec.R = r.R;
+        spec.Y = r.Y;
+        {
+          const auto prm = pricing::derive_bopm(spec, T);
+          const pricing::bopm::CallGreen green(spec, prm);
+          const std::vector<double> taps{prm.s0, prm.s1};
+          core::LatticeSolver solver({taps, 0}, green);
+          expect_top_rows_match(solver, taps, green,
+                                pricing::bopm::expiry_row(prm, green), r.name);
+        }
+        {
+          const auto prm = pricing::derive_topm(spec, T);
+          const pricing::topm::CallGreen green(spec, prm);
+          const std::vector<double> taps{prm.s0, prm.s1, prm.s2};
+          core::LatticeSolver solver({taps, 0}, green);
+          expect_top_rows_match(solver, taps, green,
+                                pricing::topm::expiry_row(prm, green), r.name);
+        }
+      }
+    }
+  }
+}
+
+TEST(CallGreen, EveryReadEqualsTheClosedForm) {
+  // Both call oracles fill their exponent table on first read: four
+  // executors read every cell of the lattice at once (the TSan job runs
+  // this at pool widths 2 and 4), then one thread reads every cell back
+  // against the closed form, including cells past the table's span.
+  const OptionSpec spec = pricing::paper_spec();
+  const std::int64_t T = 2048;
+  const auto bp = pricing::derive_bopm(spec, T);
+  const auto tp = pricing::derive_topm(spec, T);
+  const pricing::bopm::CallGreen bopm_green(spec, bp);
+  const pricing::topm::CallGreen topm_green(spec, tp);
+  const auto bopm_exact = [&](std::int64_t i, std::int64_t j) {
+    return spec.S * std::exp(static_cast<double>(2 * j - i) * bp.log_u) -
+           spec.K;
+  };
+  const auto topm_exact = [&](std::int64_t i, std::int64_t j) {
+    return spec.S * std::exp(static_cast<double>(j - i) * tp.log_u) - spec.K;
+  };
+  std::vector<std::int64_t> wrong(4, 0);
+  core::TaskPool::instance().for_each(
+      4,
+      [&](std::size_t w) {
+        // Each executor starts at a different row, so first reads race.
+        for (std::int64_t r = 0; r <= T; ++r) {
+          const std::int64_t i = (r + static_cast<std::int64_t>(w) * T / 4) %
+                                 (T + 1);
+          for (std::int64_t j = 0; j <= i + 1; ++j)
+            if (bopm_green.value(i, j) != bopm_exact(i, j)) ++wrong[w];
+          for (std::int64_t j = 0; j <= 2 * i + 2; ++j)
+            if (topm_green.value(i, j) != topm_exact(i, j)) ++wrong[w];
+        }
+      },
+      4);
+  EXPECT_EQ(wrong, std::vector<std::int64_t>(4, 0));
+  for (std::int64_t i = 0; i <= T; ++i) {
+    for (std::int64_t j = 0; j <= i + 1; ++j)
+      ASSERT_EQ(bopm_green.value(i, j), bopm_exact(i, j))
+          << "i=" << i << " j=" << j;
+    for (std::int64_t j = 0; j <= 2 * i + 2; ++j)
+      ASSERT_EQ(topm_green.value(i, j), topm_exact(i, j))
+          << "i=" << i << " j=" << j;
+  }
+  for (const std::int64_t j : {-3 * T, 3 * T}) {
+    EXPECT_EQ(bopm_green.value(0, j), bopm_exact(0, j)) << "j=" << j;
+    EXPECT_EQ(topm_green.value(0, j), topm_exact(0, j)) << "j=" << j;
   }
 }
 

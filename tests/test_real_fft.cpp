@@ -1,6 +1,6 @@
-// Tests for the real-input transform layer (RealPlan): round trips,
-// equivalence with the complex FFT, Nyquist-bin handling, and the
-// thread-safety of the lock-free plan caches.
+// Tests for the real-input forward transform (RealPlan): equivalence with
+// the complex FFT, Nyquist-bin handling, and the thread-safety of the
+// lock-free plan caches.
 
 #include <gtest/gtest.h>
 
@@ -27,24 +27,12 @@ std::vector<double> random_real(std::size_t n, unsigned seed) {
 
 class RealFftSizes : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(RealFftSizes, RoundTripRecoversInput) {
-  const std::size_t n = GetParam();
-  const std::vector<double> x = random_real(n, 100 + static_cast<unsigned>(n));
-  const amopt::fft::RealPlan& plan = amopt::fft::real_plan_for(n);
-  ASSERT_EQ(plan.size(), n);
-  ASSERT_EQ(plan.spectrum_size(), n / 2 + 1);
-  std::vector<cplx> spec(plan.spectrum_size());
-  plan.forward(x.data(), spec.data());
-  std::vector<double> back(n);
-  plan.inverse(spec.data(), back.data());
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(back[i], x[i], 1e-11) << "i=" << i;
-}
-
 TEST_P(RealFftSizes, MatchesComplexFft) {
   const std::size_t n = GetParam();
   const std::vector<double> x = random_real(n, 7 + static_cast<unsigned>(n));
   const amopt::fft::RealPlan& plan = amopt::fft::real_plan_for(n);
+  ASSERT_EQ(plan.size(), n);
+  ASSERT_EQ(plan.spectrum_size(), n / 2 + 1);
   std::vector<cplx> spec(plan.spectrum_size());
   plan.forward(x.data(), spec.data());
 
@@ -79,9 +67,6 @@ TEST(RealFft, PureNyquistSignal) {
   EXPECT_NEAR(spec[n / 2].real(), static_cast<double>(n), 1e-9);
   for (std::size_t k = 0; k < n / 2; ++k)
     EXPECT_NEAR(std::abs(spec[k]), 0.0, 1e-9) << "k=" << k;
-  std::vector<double> back(n);
-  plan.inverse(spec.data(), back.data());
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(back[i], x[i], 1e-11);
 }
 
 TEST(RealFft, NyquistPlusDcMix) {
@@ -103,23 +88,6 @@ TEST(RealFft, NyquistPlusDcMix) {
   EXPECT_NEAR(spec[n / 2].real(), 2.0 * nd, 1e-9);
   EXPECT_NEAR(spec[5].real(), 0.5 * nd, 1e-9);
   EXPECT_NEAR(spec[13].imag(), 0.25 * nd, 1e-9);  // -0.5 sin -> +i n/4
-  std::vector<double> back(n);
-  plan.inverse(spec.data(), back.data());
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(back[i], x[i], 1e-11);
-}
-
-TEST(RealFft, InverseIgnoresImaginaryPartsOfRealBins) {
-  // C2R is documented to ignore the imaginary parts of bins 0 and n/2.
-  const std::size_t n = 32;
-  const std::vector<double> x = random_real(n, 33);
-  const amopt::fft::RealPlan& plan = amopt::fft::real_plan_for(n);
-  std::vector<cplx> spec(plan.spectrum_size());
-  plan.forward(x.data(), spec.data());
-  spec[0] += cplx{0.0, 123.0};
-  spec[n / 2] += cplx{0.0, -7.0};
-  std::vector<double> back(n);
-  plan.inverse(spec.data(), back.data());
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(back[i], x[i], 1e-11);
 }
 
 TEST(RealFft, PlanCacheReturnsSameInstance) {
@@ -129,7 +97,7 @@ TEST(RealFft, PlanCacheReturnsSameInstance) {
 }
 
 TEST(PlanCache, ConcurrentLookupsAgreeAndSurvive) {
-  // Hammer plan_for/real_plan_for from many threads over a mix of cold and
+  // Hammer the three plan caches from many threads over a mix of cold and
   // warm sizes; every thread must observe the same plan instance per size
   // and every transform must stay correct.
   const std::vector<std::size_t> sizes{8, 16, 32, 64, 128,
@@ -148,8 +116,10 @@ TEST(PlanCache, ConcurrentLookupsAgreeAndSurvive) {
           const std::size_t idx = (s + static_cast<std::size_t>(t)) % sizes.size();
           const auto& p = amopt::fft::plan_for(sizes[idx]);
           const auto& rp = amopt::fft::real_plan_for(sizes[idx]);
+          const auto& np = amopt::fft::negacyclic_plan_for(sizes[idx]);
           EXPECT_EQ(p.size(), sizes[idx]);
           EXPECT_EQ(rp.size(), sizes[idx]);
+          EXPECT_EQ(np.points(), sizes[idx] / 2);
           if (seen[static_cast<std::size_t>(t)][idx] == nullptr) {
             seen[static_cast<std::size_t>(t)][idx] = &p;
           } else {

@@ -14,6 +14,7 @@
 #include <limits>
 #include <numbers>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "amopt/common/aligned.hpp"
@@ -100,42 +101,32 @@ TEST_F(SimdTest, PointwiseKernelsAgreeAcrossPathsAndAlignments) {
   for (const Level lvl : available_levels()) {
     const simd::Kernels& k = simd::kernels(lvl);
     for (const std::size_t off : {0u, 1u}) {  // 1 element = 8B: misaligned
-      // cmul
+      // cmul, and csquare against this level's cmul(a, a-copy): bit-
+      // identical at every level (the contract the aliased convolution fast
+      // path leans on: csquare runs cmul's expressions on one load).
       {
-        aligned_vector<cplx> a0(n + off), b0(n + off);
-        auto init = random_complex(n + off, 11);
-        std::copy(init.begin(), init.end(), a0.begin());
-        auto binit = random_complex(n + off, 12);
-        std::copy(binit.begin(), binit.end(), b0.begin());
-        std::vector<cplx> want(a0.begin() + off, a0.end());
-        for (std::size_t i = 0; i < n; ++i) want[i] *= b0[i + off];
-        k.cmul(a0.data() + off, b0.data() + off, n);
-        for (std::size_t i = 0; i < n; ++i)
-          EXPECT_NEAR(std::abs(a0[i + off] - want[i]), 0.0, kPathTol)
-              << simd::to_string(lvl) << " off=" << off << " i=" << i;
-      }
-      // csquare vs this level's cmul(a, a-copy): bit-identical at the
-      // scalar level (the contract the aliased convolution fast path
-      // leans on); vector levels agree within the documented cross-path
-      // tolerance (the AVX-512 TU may contract the two scalar tails'
-      // multiply-add chains differently).
-      {
-        aligned_vector<cplx> a0(n + off), b0(n + off);
-        auto init = random_complex(n + off, 13);
-        std::copy(init.begin(), init.end(), a0.begin());
-        std::copy(init.begin(), init.end(), b0.begin());
-        aligned_vector<cplx> sq = a0;
-        k.cmul(a0.data() + off, b0.data() + off, n);
-        k.csquare(sq.data() + off, n);
+        const auto ar = random_real(n + off, 11), ai = random_real(n + off, 12);
+        const auto br = random_real(n + off, 13), bi = random_real(n + off, 14);
+        aligned_vector<double> re(ar.begin(), ar.end()),
+            im(ai.begin(), ai.end());
+        k.cmul(re.data() + off, im.data() + off, br.data() + off,
+               bi.data() + off, n);
         for (std::size_t i = 0; i < n; ++i) {
-          if (lvl == Level::scalar) {
-            ASSERT_EQ(sq[i + off].real(), a0[i + off].real())
-                << " off=" << off << " i=" << i;
-            ASSERT_EQ(sq[i + off].imag(), a0[i + off].imag());
-          } else {
-            ASSERT_NEAR(std::abs(sq[i + off] - a0[i + off]), 0.0, kPathTol)
-                << simd::to_string(lvl) << " off=" << off << " i=" << i;
-          }
+          const cplx want =
+              cplx{ar[i + off], ai[i + off]} * cplx{br[i + off], bi[i + off]};
+          EXPECT_NEAR(std::abs(cplx{re[i + off], im[i + off]} - want), 0.0,
+                      kPathTol)
+              << simd::to_string(lvl) << " off=" << off << " i=" << i;
+        }
+        aligned_vector<double> pr(ar.begin(), ar.end()),
+            pi(ai.begin(), ai.end()), sr = pr, si = pi;
+        k.cmul(pr.data() + off, pi.data() + off, ar.data() + off,
+               ai.data() + off, n);
+        k.csquare(sr.data() + off, si.data() + off, n);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(sr[i + off], pr[i + off])
+              << simd::to_string(lvl) << " off=" << off << " i=" << i;
+          ASSERT_EQ(si[i + off], pi[i + off]);
         }
       }
       // correlate_taps / stencil3
@@ -154,21 +145,6 @@ TEST_F(SimdTest, PointwiseKernelsAgreeAcrossPathsAndAlignments) {
         k.stencil3(in.data() + off, taps[0], taps[1], taps[2], got.data(), n);
         for (std::size_t j = 0; j < n; ++j)
           EXPECT_NEAR(got[j], want[j], kPathTol);
-      }
-      // de/interleave round trip + scale2
-      {
-        const auto z = random_complex(n + off, 31);
-        aligned_vector<double> re(n + off), im(n + off);
-        k.deinterleave(z.data() + off, re.data() + off, im.data() + off, n);
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(re[i + off], z[i + off].real());
-          ASSERT_EQ(im[i + off], z[i + off].imag());
-        }
-        k.scale2(re.data() + off, im.data() + off, n, 0.5);
-        aligned_vector<cplx> back(n + off);
-        k.interleave(re.data() + off, im.data() + off, back.data() + off, n);
-        for (std::size_t i = 0; i < n; ++i)
-          ASSERT_EQ(back[i + off], 0.5 * z[i + off]);
       }
     }
   }
@@ -221,6 +197,19 @@ TEST_F(SimdTest, FftStageKernelsMatchScalarTable) {
                   << " off=" << off;
               EXPECT_NEAR(ib[i], im_a[i], kPathTol);
             }
+            // The DIF stage (forward only) on fresh (post-pass) data.
+            if (!inverse) {
+              std::copy(re_a.begin(), re_a.end(), rb);
+              std::copy(im_a.begin(), im_a.end(), ib);
+              ref.dif4_pass(re_a.data(), im_a.data(), n, h, w.data());
+              k.dif4_pass(rb, ib, n, h, w.data());
+              for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_NEAR(rb[i], re_a[i], kPathTol)
+                    << simd::to_string(lvl) << " dif n=" << n << " h=" << h
+                    << " off=" << off;
+                EXPECT_NEAR(ib[i], im_a[i], kPathTol);
+              }
+            }
             // Also radix2 on fresh (post-pass) data.
             std::copy(re_a.begin(), re_a.end(), rb);
             std::copy(im_a.begin(), im_a.end(), ib);
@@ -237,7 +226,7 @@ TEST_F(SimdTest, FftStageKernelsMatchScalarTable) {
   }
 }
 
-TEST_F(SimdTest, RfftPairKernelsMatchScalarTable) {
+TEST_F(SimdTest, RfftUntangleMatchesScalarTable) {
   const simd::Kernels& ref = simd::kernels(Level::scalar);
   for (const Level lvl : available_levels()) {
     if (lvl == Level::scalar) continue;
@@ -250,87 +239,91 @@ TEST_F(SimdTest, RfftPairKernelsMatchScalarTable) {
             static_cast<double>(2 * m);
         tw[i] = cplx{std::cos(a), std::sin(a)};
       }
-      for (const bool retangle : {false, true}) {
-        for (const std::size_t off : {0u, 1u}) {  // 1 complex = 16B
-          auto spec_a = random_complex(m + 1, 51);
-          aligned_vector<cplx> spec_b(m + 1 + off);
-          std::copy(spec_a.begin(), spec_a.end(), spec_b.begin() + off);
-          cplx* const sb = spec_b.data() + off;
-          if (retangle) {
-            ref.rfft_retangle(spec_a.data(), tw.data(), m);
-            k.rfft_retangle(sb, tw.data(), m);
-          } else {
-            ref.rfft_untangle(spec_a.data(), tw.data(), m);
-            k.rfft_untangle(sb, tw.data(), m);
-          }
-          for (std::size_t i = 0; i <= m; ++i)
-            EXPECT_NEAR(std::abs(sb[i] - spec_a[i]), 0.0, kPathTol)
-                << simd::to_string(lvl) << " m=" << m << " off=" << off
-                << (retangle ? " retangle" : " untangle");
-        }
+      for (const std::size_t off : {0u, 1u}) {  // 1 complex = 16B
+        auto spec_a = random_complex(m + 1, 51);
+        aligned_vector<cplx> spec_b(m + 1 + off);
+        std::copy(spec_a.begin(), spec_a.end(), spec_b.begin() + off);
+        cplx* const sb = spec_b.data() + off;
+        ref.rfft_untangle(spec_a.data(), tw.data(), m);
+        k.rfft_untangle(sb, tw.data(), m);
+        for (std::size_t i = 0; i <= m; ++i)
+          EXPECT_NEAR(std::abs(sb[i] - spec_a[i]), 0.0, kPathTol)
+              << simd::to_string(lvl) << " m=" << m << " off=" << off;
       }
     }
   }
 }
 
 TEST_F(SimdTest, TapPowerBinsMatchScalarTableAndDirectEvaluation) {
-  // Kernel spectra straight from the taps. The scalar table matches a
-  // long-double evaluation of R(w_k)^h, and every level matches the scalar
-  // table, both within 4 h eps of the largest bin (the squaring chain
-  // doubles a bin's relative error per step) plus an absolute 2e-120 for
-  // the floor: a bin with |R(w)|^h < 1e-120 reads 0, which is all of
-  // {0.7}^8192. Misaligned outputs, every pair-loop tail length, and h = 0
-  // (all-ones bins) are covered.
+  // Kernel spectra straight from the taps, at the negacyclic points
+  // y_j = e^{i pi (1 - 4j) / n} (n = 2m) and stored at bit-reversed
+  // positions, scaled by 1/m. The scalar table matches a long-double
+  // evaluation of R(y_j)^h / m, and every level matches the scalar table,
+  // both within 4 h eps of the largest bin (the squaring chain doubles a
+  // bin's relative error per step) plus an absolute 2e-120 for the floor:
+  // a bin with |R(y)|^h < 1e-120 reads 0, which is all of {0.7}^8192.
+  // Sizes below and above each level's transpose size (kLanes^2),
+  // misaligned outputs and h = 0 (bins all 1/m) are covered.
   const simd::Kernels& ref = simd::kernels(Level::scalar);
   const std::vector<std::vector<double>> tap_sets{
       {0.7}, {0.49, 0.5}, {0.24, 0.5, 0.25}, {0.1, 0.3, 0.4, 0.19}};
   const double eps = std::numeric_limits<double>::epsilon();
-  for (const std::size_t m : {2u, 4u, 6u, 18u, 64u, 1024u}) {
-    std::vector<cplx> tw(m / 2 + 1);
-    for (std::size_t i = 0; i <= m / 2; ++i) {
-      const double a = -2.0 * std::numbers::pi * static_cast<double>(i) /
-                       static_cast<double>(2 * m);
-      tw[i] = cplx{std::cos(a), std::sin(a)};
-    }
+  for (const std::size_t m : {1u, 2u, 4u, 16u, 32u, 64u, 128u, 1024u}) {
+    const fft::NegacyclicPlan& plan = fft::negacyclic_plan_for(2 * m);
+    std::size_t bits = 0;
+    while ((std::size_t{1} << bits) < m) ++bits;
+    const double s = 1.0 / static_cast<double>(m);
     for (const std::vector<double>& taps : tap_sets) {
       for (const std::uint64_t h : {0u, 1u, 2u, 3u, 64u, 341u, 8192u}) {
-        std::vector<cplx> want(m + 1);
-        ref.tap_power_bins(taps.data(), taps.size(), h, tw.data(), m,
-                           want.data());
+        std::vector<double> want(2 * m);
+        ref.tap_power_bins(taps.data(), taps.size(), h, plan.root_re(),
+                           plan.root_im(), m, s, want.data(),
+                           want.data() + m);
         double peak = 0.0;
-        for (const cplx& x : want) peak = std::max(peak, std::abs(x));
+        for (std::size_t p = 0; p < m; ++p)
+          peak = std::max(peak, std::abs(cplx{want[p], want[m + p]}));
         const double tol =
             4.0 * static_cast<double>(std::max<std::uint64_t>(h, 1)) * eps *
                 peak +
             2e-120;
-        for (std::size_t k = 0; k <= m; ++k) {
-          const long double a = -2.0L * std::numbers::pi_v<long double> *
-                                static_cast<long double>(k) /
-                                static_cast<long double>(2 * m);
-          const std::complex<long double> w{std::cos(a), std::sin(a)};
+        for (std::size_t j = 0; j < m; ++j) {
+          const long double a =
+              std::numbers::pi_v<long double> *
+              (1.0L - 4.0L * static_cast<long double>(j)) /
+              static_cast<long double>(2 * m);
+          const std::complex<long double> y{std::cos(a), std::sin(a)};
           std::complex<long double> r = taps[0];
           for (std::size_t i = 1; i < taps.size(); ++i)
-            r = r * w + static_cast<long double>(taps[i]);
-          std::complex<long double> p = 1.0L;
+            r = r * y + static_cast<long double>(taps[i]);
+          std::complex<long double> pw = 1.0L;
           for (std::uint64_t e = h; e != 0; e >>= 1, r *= r)
-            if (e & 1u) p *= r;
+            if (e & 1u) pw *= r;
+          std::size_t p = 0;
+          for (std::size_t b = 0; b < bits; ++b)
+            p |= ((j >> b) & 1u) << (bits - 1 - b);
+          const cplx got{want[p], want[m + p]};
           if (h == 0) {
-            EXPECT_EQ(want[k], cplx(1.0, 0.0));
+            EXPECT_EQ(got, cplx(s, 0.0));
           }
-          EXPECT_LE(std::abs(p - std::complex<long double>(want[k])), tol)
+          EXPECT_LE(std::abs(pw * static_cast<long double>(s) -
+                             std::complex<long double>(got)),
+                    tol)
               << "m=" << m << " taps=" << taps.size() << " h=" << h
-              << " k=" << k;
+              << " j=" << j;
         }
         for (const Level lvl : available_levels()) {
           if (lvl == Level::scalar) continue;
-          for (const std::size_t off : {0u, 1u}) {  // 1 complex = 16B
-            aligned_vector<cplx> got(m + 1 + off);
-            simd::kernels(lvl).tap_power_bins(taps.data(), taps.size(), h,
-                                              tw.data(), m, got.data() + off);
-            for (std::size_t k = 0; k <= m; ++k)
-              ASSERT_LE(std::abs(got[k + off] - want[k]), tol)
+          for (const std::size_t off : {0u, 1u}) {  // 1 double = 8B
+            aligned_vector<double> got(2 * m + off);
+            simd::kernels(lvl).tap_power_bins(
+                taps.data(), taps.size(), h, plan.root_re(), plan.root_im(),
+                m, s, got.data() + off, got.data() + off + m);
+            for (std::size_t p = 0; p < m; ++p)
+              ASSERT_LE(std::abs(cplx{got[off + p], got[off + m + p]} -
+                                 cplx{want[p], want[m + p]}),
+                        tol)
                   << simd::to_string(lvl) << " m=" << m
-                  << " taps=" << taps.size() << " h=" << h << " k=" << k
+                  << " taps=" << taps.size() << " h=" << h << " p=" << p
                   << " off=" << off;
           }
         }
@@ -566,20 +559,24 @@ TEST_F(SimdTest, SpectralConvolutionParityAcrossLevels) {
   }
 }
 
-TEST_F(SimdTest, AliasedSquaringBitIdenticalAtScalarLevel) {
-  // The acceptance contract of the convolve_full(a, a) fast path: at the
-  // scalar level (csquare IS cmul(a, a) bit for bit) the one-transform
-  // square must reproduce the historical two-transform product exactly.
-  simd::set_level(Level::scalar);
-  for (const std::size_t n : {33u, 1000u, 4096u}) {
-    const auto a = random_real(n, 111);
-    const std::vector<double> a_copy = a;  // distinct storage, same bits
-    const auto squared = conv::convolve_full(a, a, {conv::Policy::Path::fft});
-    const auto product =
-        conv::convolve_full(a, a_copy, {conv::Policy::Path::fft});
-    ASSERT_EQ(squared.size(), product.size());
-    for (std::size_t i = 0; i < squared.size(); ++i)
-      ASSERT_EQ(squared[i], product[i]) << "n=" << n << " i=" << i;
+TEST_F(SimdTest, AliasedSquaringBitIdenticalAtEveryLevel) {
+  // The acceptance contract of the convolve_full(a, a) fast path: csquare
+  // runs cmul(a, a)'s expressions on one load, so at every level the
+  // one-transform square reproduces the two-transform product exactly.
+  for (const Level lvl : available_levels()) {
+    simd::set_level(lvl);
+    for (const std::size_t n : {33u, 1000u, 4096u}) {
+      const auto a = random_real(n, 111);
+      const std::vector<double> a_copy = a;  // distinct storage, same bits
+      const auto squared =
+          conv::convolve_full(a, a, {conv::Policy::Path::fft});
+      const auto product =
+          conv::convolve_full(a, a_copy, {conv::Policy::Path::fft});
+      ASSERT_EQ(squared.size(), product.size());
+      for (std::size_t i = 0; i < squared.size(); ++i)
+        ASSERT_EQ(squared[i], product[i])
+            << simd::to_string(lvl) << " n=" << n << " i=" << i;
+    }
   }
 }
 
@@ -796,8 +793,8 @@ TEST_F(SimdTest, NormCdfMatchesErfcAndAgreesAcrossLevels) {
 }
 
 TEST_F(SimdTest, InterleaveScaledMatchesScaleThenInterleave) {
-  // The fused inverse-normalization pass must equal scale2 followed by
-  // interleave bit for bit at every level (it performs the same multiply).
+  // The fused inverse-normalization pass must equal scaling each half and
+  // then interleaving, bit for bit at every level (the same multiply).
   const std::size_t n = 1029;
   for (const Level lvl : available_levels()) {
     const simd::Kernels& k = simd::kernels(lvl);
@@ -808,15 +805,136 @@ TEST_F(SimdTest, InterleaveScaledMatchesScaleThenInterleave) {
       std::copy(rinit.begin(), rinit.end(), re.begin());
       std::copy(iinit.begin(), iinit.end(), im.begin());
       const double s = 1.0 / 1024.0;
-      aligned_vector<double> re2 = re, im2 = im;
-      aligned_vector<cplx> want(n + off), got(n + off);
-      k.scale2(re2.data() + off, im2.data() + off, n, s);
-      k.interleave(re2.data() + off, im2.data() + off, want.data() + off, n);
+      aligned_vector<cplx> plain(n + off), got(n + off);
+      k.interleave(re.data() + off, im.data() + off, plain.data() + off, n);
       k.interleave_scaled(re.data() + off, im.data() + off, got.data() + off,
                           n, s);
-      for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(got[i + off], want[i + off])
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(plain[i + off], cplx(re[i + off], im[i + off]))
             << simd::to_string(lvl) << " i=" << i;
+        ASSERT_EQ(got[i + off], cplx(re[i + off] * s, im[i + off] * s))
+            << simd::to_string(lvl) << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST_F(SimdTest, FoldTwistAndUntwistMatchScalarTable) {
+  // The negacyclic pipeline's two streaming passes: the scalar table
+  // against their definitions, every level against the scalar table, on
+  // exact fits, split (main, tail) operands, partial and empty operands,
+  // misaligned outputs and every window position relative to m.
+  const simd::Kernels& ref = simd::kernels(Level::scalar);
+  for (const std::size_t m : {1u, 5u, 64u, 1027u}) {
+    std::vector<double> wre(m), wim(m);
+    for (std::size_t k = 0; k < m; ++k) {
+      const double a = std::numbers::pi * static_cast<double>(k) /
+                       static_cast<double>(2 * m);
+      wre[k] = std::cos(a);
+      wim[k] = std::sin(a);
+    }
+    const auto x = random_real(2 * m, 131);
+    const auto at = [&](std::size_t nmain, std::size_t ntail, std::size_t p) {
+      return p < nmain + ntail ? x[p] : 0.0;
+    };
+    const std::size_t cuts[][2] = {{2 * m, 0}, {2 * m - 1, 1},
+                                   {m + 1, m / 2}, {m / 2, 1},
+                                   {m / 3, 0}, {0, 0}};
+    for (const auto& cut : cuts) {
+      const std::size_t nmain = cut[0], ntail = cut[1];
+      if (nmain + ntail > 2 * m) continue;
+      const std::span<const double> main(x.data(), nmain);
+      const std::span<const double> tail(x.data() + nmain, ntail);
+      std::vector<double> want(2 * m);
+      ref.fold_twist(main.data(), nmain, tail.data(), ntail, wre.data(),
+                     wim.data(), m, want.data(), want.data() + m);
+      for (std::size_t k = 0; k < m; ++k) {
+        const cplx z = cplx{at(nmain, ntail, k), at(nmain, ntail, k + m)} *
+                       cplx{wre[k], wim[k]};
+        EXPECT_NEAR(want[k], z.real(), 1e-15) << "m=" << m << " k=" << k;
+        EXPECT_NEAR(want[m + k], z.imag(), 1e-15) << "m=" << m << " k=" << k;
+      }
+      for (const Level lvl : available_levels()) {
+        for (const std::size_t off : {0u, 1u}) {
+          aligned_vector<double> got(2 * m + off);
+          simd::kernels(lvl).fold_twist(main.data(), nmain, tail.data(), ntail,
+                                        wre.data(), wim.data(), m,
+                                        got.data() + off,
+                                        got.data() + off + m);
+          for (std::size_t k = 0; k < 2 * m; ++k)
+            ASSERT_NEAR(got[off + k], want[k], kPathTol)
+                << simd::to_string(lvl) << " m=" << m << " nmain=" << nmain
+                << " ntail=" << ntail << " k=" << k;
+        }
+      }
+    }
+    // untwist: windows below m, above m, across m and the whole 2m.
+    const auto ur = random_real(m, 132), ui = random_real(m, 133);
+    const std::size_t windows[][2] = {
+        {0, m}, {m, m}, {m / 2, m}, {0, 2 * m}, {2 * m - 1, 1}, {1, 0}};
+    for (const auto& win : windows) {
+      const std::size_t skip = win[0], nout = win[1];
+      std::vector<double> want(nout);
+      ref.untwist(ur.data(), ui.data(), wre.data(), wim.data(), m, skip,
+                  want.data(), nout, 0.25);
+      for (std::size_t j = 0; j < nout; ++j) {
+        const std::size_t p = skip + j, k = p % m;
+        const cplx c = cplx{ur[k], ui[k]} * std::conj(cplx{wre[k], wim[k]});
+        EXPECT_NEAR(want[j], 0.25 * (p < m ? c.real() : c.imag()), 1e-15)
+            << "m=" << m << " p=" << p;
+      }
+      for (const Level lvl : available_levels()) {
+        for (const std::size_t off : {0u, 1u}) {
+          aligned_vector<double> got(nout + off);
+          simd::kernels(lvl).untwist(ur.data(), ui.data(), wre.data(),
+                                     wim.data(), m, skip, got.data() + off,
+                                     nout, 0.25);
+          for (std::size_t j = 0; j < nout; ++j)
+            ASSERT_NEAR(got[off + j], want[j], kPathTol)
+                << simd::to_string(lvl) << " m=" << m << " skip=" << skip
+                << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdTest, DifThenDitRoundTripsAtEveryLevel) {
+  // The negacyclic pipeline's passes: Plan::dif from natural order leaves
+  // the DFT in bit-reversed order (checked against the complex transform),
+  // and the conjugated DIT passes take it straight back to m x, at every
+  // size m = 1 .. 2^16 and every level.
+  for (const Level lvl : available_levels()) {
+    simd::set_level(lvl);
+    for (std::size_t bits = 0; bits <= 16; ++bits) {
+      const std::size_t m = std::size_t{1} << bits;
+      const fft::Plan& plan = fft::plan_for(m);
+      const auto xr = random_real(m, 141 + static_cast<std::uint32_t>(bits));
+      const auto xi = random_real(m, 241 + static_cast<std::uint32_t>(bits));
+      aligned_vector<double> re(xr.begin(), xr.end()), im(xi.begin(), xi.end());
+      plan.dif(re.data(), im.data());
+      const double tol = 1e-15 * static_cast<double>(m) *
+                         static_cast<double>(std::max<std::size_t>(bits, 1));
+      if (m <= 4096) {
+        std::vector<cplx> z(m);
+        for (std::size_t i = 0; i < m; ++i) z[i] = cplx{xr[i], xi[i]};
+        fft::forward(z);
+        for (std::size_t j = 0; j < m; ++j) {
+          std::size_t p = 0;
+          for (std::size_t b = 0; b < bits; ++b)
+            p |= ((j >> b) & 1u) << (bits - 1 - b);
+          ASSERT_NEAR(std::abs(cplx{re[p], im[p]} - z[j]), 0.0, tol)
+              << simd::to_string(lvl) << " m=" << m << " j=" << j;
+        }
+      }
+      plan.dit(re.data(), im.data(), /*inverse=*/true);
+      const double md = static_cast<double>(m);
+      for (std::size_t i = 0; i < m; ++i) {
+        ASSERT_NEAR(re[i], md * xr[i], tol)
+            << simd::to_string(lvl) << " m=" << m << " i=" << i;
+        ASSERT_NEAR(im[i], md * xi[i], tol)
+            << simd::to_string(lvl) << " m=" << m << " i=" << i;
+      }
     }
   }
 }

@@ -140,6 +140,19 @@ std::vector<std::vector<double>> production_taps() {
   return {{b.s0, b.s1}, {t.s0, t.s1, t.s2}, {f.b, f.c, f.a}};
 }
 
+/// Bin k of a spectrum (split layout: re[0, m) then im[0, m)).
+[[nodiscard]] fft::cplx bin(const fft::RealSpectrum& s, std::size_t k) {
+  return {s.re()[k], s.im()[k]};
+}
+
+/// The largest bin magnitude of a spectrum.
+[[nodiscard]] double peak_bin(const fft::RealSpectrum& s) {
+  double peak = 0.0;
+  for (std::size_t k = 0; k < s.points(); ++k)
+    peak = std::max(peak, std::abs(bin(s, k)));
+  return peak;
+}
+
 /// Cache spectra are built from the taps, so they are compared with the
 /// transformed time-domain power to c * h * eps of the largest bin. The
 /// measured worst case is 25 (TOPM; BSM 13, BOPM 3.4 at every dispatch
@@ -180,12 +193,11 @@ TEST(KernelCache, SpectraAreCachedPerHeightAndSize) {
             conv::kernel_spectrum(power, size, /*reversed=*/true, ws);
         EXPECT_EQ(got->klen, klen);
         EXPECT_TRUE(got->reversed);
-        ASSERT_EQ(got->bins.size(), want.bins.size());
-        double peak = 0.0;
-        for (const fft::cplx& x : want.bins) peak = std::max(peak, std::abs(x));
-        const double tol = kBinC * static_cast<double>(h) * kEps * peak;
-        for (std::size_t i = 0; i < want.bins.size(); ++i)
-          ASSERT_LE(std::abs(got->bins[i] - want.bins[i]), tol)
+        ASSERT_EQ(got->n, want.n);
+        const double tol =
+            kBinC * static_cast<double>(h) * kEps * peak_bin(want);
+        for (std::size_t i = 0; i < want.points(); ++i)
+          ASSERT_LE(std::abs(bin(*got, i) - bin(want, i)), tol)
               << "taps " << prod.size() << " h=" << h << " n=" << size
               << " bin " << i;
       }
@@ -210,8 +222,9 @@ TEST(KernelCache, SpectralCorrelationMatchesTimeDomain) {
       const auto spec = cache.power_spectrum(
           h, conv::correlate_fft_size(n_out, kernel.size()));
       conv::correlate_valid(in, *spec, got, ws);
-      double peak = 0.0;
-      for (const fft::cplx& x : spec->bins) peak = std::max(peak, std::abs(x));
+      // The bins carry the inverse's 1/m; the bound is on the unscaled ones.
+      const double peak =
+          static_cast<double>(spec->points()) * peak_bin(*spec);
       const double in_max = *std::max_element(in.begin(), in.end());
       const double tol =
           kBinC * static_cast<double>(h) * kEps * peak * in_max;
@@ -224,10 +237,10 @@ TEST(KernelCache, SpectralCorrelationMatchesTimeDomain) {
 
 TEST(SpectrumBudget, CapsBytesWithLruEvictionAcrossCaches) {
   // Two caches share one registry-level budget sized for roughly two
-  // spectra at n = 256 (a 129-bin spectrum is 2064 bytes): inserting a
+  // spectra at n = 256 (a 128-point spectrum is 2048 bytes): inserting a
   // third evicts the least-recently-used entry, whichever cache owns it.
   const std::vector<double> taps{0.2, 0.5, 0.29};
-  auto budget = std::make_shared<stencil::SpectrumBudget>(2 * 2064);
+  auto budget = std::make_shared<stencil::SpectrumBudget>(2 * 2048);
   stencil::KernelCache a({taps, 0}), b({taps, 0});
   a.set_spectrum_budget(budget);
   b.set_spectrum_budget(budget);
@@ -276,8 +289,8 @@ TEST(SpectrumBudget, DyingCacheUnregistersItsEntries) {
 // they surface or the heap compacts. The dying caches below live on the
 // heap, so ASan (CI's sanitize job) reports any call back into one as a
 // use-after-free; CI's TSan jobs run this suite at widths 2 and 4.
-constexpr std::size_t kSpec256 = 129 * sizeof(fft::cplx);  // n = 256
-constexpr std::size_t kSpec128 = 65 * sizeof(fft::cplx);   // n = 128
+constexpr std::size_t kSpec256 = 128 * sizeof(fft::cplx);  // n = 256
+constexpr std::size_t kSpec128 = 64 * sizeof(fft::cplx);   // n = 128
 
 TEST(SpectrumBudget, RetiredCacheIsNeverCalledBack) {
   const std::vector<double> taps{0.2, 0.5, 0.29};

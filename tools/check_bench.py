@@ -30,7 +30,10 @@ bars. For rows, FAST/SLOW are series names of the SAME fresh file and
 every shared row with T >= MIN_N is compared — the PR 6 boundary-engine
 bars (quote-fft over quote-boundary, iv-lattice over iv-boundary from
 bench/micro_alo.cpp). Both compare within one run on one machine, so the
-bars are load-tolerant in a way baseline comparisons are not.
+bars are load-tolerant in a way baseline comparisons are not. A FACTOR
+below 1 bounds a slowdown instead: FAST may cost at most 1/FACTOR of SLOW.
+In both forms a gate that matches no pair fails, so renaming a bench
+cannot silently drop its gate.
 
 With --alloc-budget SERIES=MAX (rows only, repeatable), asserts the fresh
 SERIES never exceeds MAX on any row — the steady-state
@@ -241,8 +244,9 @@ def check_pair_speedup(times, spec):
             fail(f"{name}: speedup over {slow} is {speedup:.2f}x, below the "
                  f"required {factor}x at n >= {min_n}")
     if pairs == 0:
-        print(f"check_bench: no {fast_prefix}/{slow_prefix} pairs at "
-              f"n >= {min_n} — pair-speedup check skipped")
+        # A renamed or dropped bench must not silently retire its gate.
+        fail(f"--pair-speedup {spec}: no {fast_prefix}<level>/n with a "
+             f"{slow_prefix} counterpart at n >= {min_n} in the fresh run")
 
 
 def accuracy_cases(doc, path):
